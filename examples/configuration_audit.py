@@ -16,8 +16,9 @@ import sys
 from collections import Counter
 
 from repro.cellnet.rat import RAT
-from repro.core.analysis.verification import audit_snapshots, summarize
 from repro.core.crawler import ConfigCrawler
+from repro.lint.engine import lint_snapshots
+from repro.lint.findings import summarize
 from repro.rrc.diag import DiagWriter
 from repro.simulate import drive_scenario
 
@@ -43,7 +44,7 @@ def main(carrier: str = "A") -> None:
           f"({len(writer.getvalue()):,} bytes of signaling)")
 
     print("auditing...")
-    findings = audit_snapshots(snapshots)
+    findings = lint_snapshots(snapshots).findings
     summary = summarize(findings)
     severities = Counter(f.severity for f in findings)
     print(f"  {len(findings)} findings "

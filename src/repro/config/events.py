@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -229,66 +230,49 @@ def evaluate_leave(
     raise NotImplementedError(f"event {e.value} not supported")
 
 
-def entry_mask(
-    config: EventConfig, serving: float | None, neighbors: np.ndarray
-) -> np.ndarray:
-    """Vectorized :func:`evaluate_entry` over a neighbor-value array.
+class EventColumns(NamedTuple):
+    """Entry parameters of one event type for many UEs, as columns.
 
-    Evaluates the entry condition of one neighbor-triggered event
-    (A3-A6, B1, B2) for every candidate in one masked array pass; the
-    comparisons are written exactly as the scalar evaluator's so both
-    paths agree bit for bit.  Serving-only events (A1/A2, periodic) have
-    no neighbor axis and stay on the scalar evaluator.
+    Stands in for an :class:`EventConfig` in :func:`entry_mask`: each
+    parameter is an ``(m, 1)`` column whose row ``k`` is member ``k``'s
+    value (absent thresholds as 0.0; their events never read them).
+    """
+
+    event: EventType
+    hysteresis: np.ndarray
+    threshold1: np.ndarray
+    threshold2: np.ndarray
+    offset: np.ndarray
+
+    @classmethod
+    def from_matrix(cls, event: EventType, params: np.ndarray) -> EventColumns:
+        """Columns of an ``(m, 4)`` matrix of
+        ``[hysteresis, threshold1, threshold2, offset]`` rows."""
+        return cls(event, params[:, 0:1], params[:, 1:2], params[:, 2:3], params[:, 3:4])
+
+
+def entry_mask(config: EventConfig | EventColumns, serving: Any, neighbors: Any) -> Any:
+    """Vectorized :func:`evaluate_entry`.
+
+    Takes one :class:`EventConfig` with ``serving`` a float and
+    ``neighbors`` a candidate-value array, or :class:`EventColumns` with
+    ``serving`` an ``(m, 1)`` column and ``neighbors`` an
+    ``(m, cells)`` matrix.  Neighbor-triggered events (A3-A6, B1, B2)
+    return the mask over ``neighbors``; the serving-only A1/A2 ignore
+    ``neighbors`` and return the serving's shape.  The comparisons are
+    written exactly as the scalar evaluator's and broadcast unchanged
+    over the member axis, so every row agrees with :func:`evaluate_entry`
+    bit for bit.
     """
     e, hys = config.event, config.hysteresis
+    if e is EventType.A1:
+        return serving - hys > config.threshold1
+    if e is EventType.A2:
+        return serving + hys < config.threshold1
     if e in (EventType.A3, EventType.A6):
-        if serving is None:
-            return np.zeros(len(neighbors), dtype=bool)
         return neighbors - hys > serving + config.offset
     if e in (EventType.A4, EventType.B1):
         return neighbors - hys > config.threshold1
     if e in (EventType.A5, EventType.B2):
-        if serving is None or not serving + hys < config.threshold1:
-            return np.zeros(len(neighbors), dtype=bool)
-        return neighbors - hys > config.threshold2
-    raise NotImplementedError(f"event {e.value} has no neighbor entry mask")
-
-
-def entry_mask_batch(
-    config: EventConfig, serving: np.ndarray, neighbors: np.ndarray
-) -> np.ndarray:
-    """:func:`entry_mask` for many UEs at once.
-
-    ``serving`` holds each UE's serving-cell metric (length G) and
-    ``neighbors`` the (UE x cell) candidate-value matrix; row ``g`` of
-    the result is bit-identical to
-    ``entry_mask(config, serving[g], neighbors[g])`` — the comparisons
-    are the same ufuncs, broadcast over the UE axis.
-    """
-    e, hys = config.event, config.hysteresis
-    if e in (EventType.A3, EventType.A6):
-        return neighbors - hys > serving[:, None] + config.offset
-    if e in (EventType.A4, EventType.B1):
-        return neighbors - hys > config.threshold1
-    if e in (EventType.A5, EventType.B2):
-        serving_ok = serving + hys < config.threshold1
-        return serving_ok[:, None] & (neighbors - hys > config.threshold2)
-    raise NotImplementedError(f"event {e.value} has no neighbor entry mask")
-
-
-def leave_mask(
-    config: EventConfig, serving: float | None, neighbors: np.ndarray
-) -> np.ndarray:
-    """Vectorized :func:`evaluate_leave` over a neighbor-value array."""
-    e, hys = config.event, config.hysteresis
-    if e in (EventType.A3, EventType.A6):
-        if serving is None:
-            return np.ones(len(neighbors), dtype=bool)
-        return neighbors + hys < serving + config.offset
-    if e in (EventType.A4, EventType.B1):
-        return neighbors + hys < config.threshold1
-    if e in (EventType.A5, EventType.B2):
-        if serving is None or serving - hys > config.threshold1:
-            return np.ones(len(neighbors), dtype=bool)
-        return neighbors + hys < config.threshold2
-    raise NotImplementedError(f"event {e.value} has no neighbor leave mask")
+        return (serving + hys < config.threshold1) & (neighbors - hys > config.threshold2)
+    raise NotImplementedError(f"event {e.value} has no entry mask")

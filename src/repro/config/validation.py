@@ -1,7 +1,7 @@
 """Structural validity checks for configurations.
 
-Distinct from ``repro.core.analysis.verification`` (which audits *policy*
-quality, e.g. priority loops and threshold conflicts): this module only
+Distinct from :mod:`repro.lint` (which audits *policy* quality, e.g.
+priority loops and threshold conflicts): this module only
 checks that values sit in their standardized domains — the kind of check
 an encoder performs before putting a value on the air.
 """

@@ -18,7 +18,7 @@ the reproduction of that system:
   analysis together.
 * :mod:`repro.core.analysis` — the study's analysis toolkit (diversity
   metrics, temporal/spatial/frequency dependence, performance impacts,
-  verification, prediction).
+  prediction); configuration verification is :mod:`repro.lint`.
 """
 
 from repro.core.collector import MMLabCollector

@@ -14,8 +14,9 @@ One module per analysis family, mirroring the paper's evaluation:
 * :mod:`frequency` — frequency dependence of parameters (Figs. 18/19).
 * :mod:`rats` — cross-RAT comparisons (Table 4, Fig. 22).
 * :mod:`prediction` — device-side handoff prediction (Section 6).
-* :mod:`verification` — automated configuration verification
-  (Sections 4.2, 5.4.1, 6).
+
+Automated configuration verification (Sections 4.2, 5.4.1, 6) is the
+:mod:`repro.lint` rule engine.
 """
 
 from repro.core.analysis.diversity import (

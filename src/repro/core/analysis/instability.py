@@ -6,7 +6,7 @@ Management", [24], [27]) proves that conflicting configurations cause
 valued priorities) are "not as rare as we anticipated".  This module
 closes the loop at runtime: given a trace's handoff instances, find the
 oscillations, and relate them to the static findings of
-:mod:`repro.core.analysis.verification`.
+:mod:`repro.lint` (priority conflicts HC101, priority loops HC103).
 
 Two runtime patterns are detected:
 
@@ -23,9 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.datasets.records import HandoffInstance
-
-#: Returning to the previous cell within this window is a ping-pong.
-PING_PONG_WINDOW_MS = 10_000
+from repro.simulate.fleet import count_ping_pongs
 
 
 @dataclass(frozen=True)
@@ -80,17 +78,10 @@ def detect_instability(
     """
     ordered = sorted(instances, key=lambda i: i.time_ms)
     report = InstabilityReport(n_handoffs=len(ordered))
-    for previous, current in zip(ordered, ordered[1:]):
-        report.pair_counts[(previous.source_gci, previous.target_gci)] += 1
-        if (
-            current.target_gci == previous.source_gci
-            and current.source_gci == previous.target_gci
-            and current.time_ms - previous.time_ms <= PING_PONG_WINDOW_MS
-        ):
-            report.n_ping_pongs += 1
-    if ordered:
-        last = ordered[-1]
-        report.pair_counts[(last.source_gci, last.target_gci)] += 1
+    report.pair_counts.update((i.source_gci, i.target_gci) for i in ordered)
+    report.n_ping_pongs = count_ping_pongs(
+        (i.source_gci, i.target_gci, i.time_ms) for i in ordered
+    )
     # Cycle detection over the serving-cell sequence.
     sequence = [ordered[0].source_gci] + [i.target_gci for i in ordered] if ordered else []
     times = [ordered[0].time_ms] + [i.time_ms for i in ordered] if ordered else []

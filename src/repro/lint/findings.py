@@ -1,9 +1,8 @@
 """Finding: the unit result of every lint rule.
 
 One dataclass serves the whole static-analysis stack: per-cell rules,
-cross-cell network rules, the legacy ``repro.core.analysis.verification``
-shims and all three reporters.  Findings are plain frozen data so they
-can be printed, counted, serialized and asserted on.
+cross-cell network rules and all three reporters.  Findings are plain
+frozen data so they can be printed, counted, serialized and asserted on.
 """
 
 from __future__ import annotations

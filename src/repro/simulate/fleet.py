@@ -19,7 +19,9 @@ runs all UEs in lockstep and batches the per-tick hot path:
   materialized only for lanes whose tick consumes one.
 * **Batched event evaluation** — lanes are grouped by armed-event
   signature and each event's entry condition is evaluated as one
-  masked (UE x cell) pass; ticks proven no-ops take
+  masked (UE x cell) pass of the solo path's own
+  :func:`~repro.config.events.entry_mask`, fed per-member parameter
+  columns; ticks proven no-ops take
   :meth:`~repro.ue.device.UserEquipment.quiet_tick`, skipping the
   per-lane event machinery entirely.
 * **Sharding** — fleets split into :class:`FleetShardUnit` work units
@@ -28,12 +30,15 @@ runs all UEs in lockstep and batches the per-tick hot path:
   bit-identical regardless of fleet size, shard boundaries or worker
   count.
 
-Batching never changes a single bit of any UE's outputs: every batched
-operation is the elementwise twin of the scalar/vectorized per-UE path
-(same ufuncs, same order, same RNG streams), and parity tests assert
-UE *k* of a fleet equals a solo :class:`DriveSimulator` run bit for
-bit.  Any lane in an unusual state (idle, scalar oracle, a handover
-due this tick) simply falls back to the untouched per-UE path.
+Each fleet member is a :class:`~repro.simulate.runner.DriveLane`, the
+same per-UE run body a solo :class:`DriveSimulator` drive ticks; the
+fleet only front-loads work the lane's tick would otherwise compute
+itself.  Batching never changes a single bit of any UE's outputs: every
+batched operation is the elementwise twin of the per-UE path (same
+ufuncs, same order, same RNG streams), and parity tests assert UE *k*
+of a fleet equals a solo :class:`DriveSimulator` run bit for bit.  Any
+lane in an unusual state (idle, scalar oracle, a handover due this
+tick) simply takes the lane's own path.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import os
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -48,17 +54,12 @@ import numpy as np
 
 from repro.cellnet.radio import compute_metrics_batch
 from repro.cellnet.rat import RAT
-from repro.config.events import EventType
+from repro.config.events import EventColumns, entry_mask
 from repro.pipeline.backends import ExecutionBackend, resolve_backend
 from repro.pipeline.unit import WorkUnit
-from repro.rrc import codec as _codec
-from repro.rrc import diag as _diag
-from repro.rrc.diag import DiagWriter
-from repro.rrc.messages import PhyServingMeas
 from repro.simulate.mobility import Trajectory, grid_drive, parked_position
-from repro.simulate.runner import DriveResult, TickSample
+from repro.simulate.runner import DriveLane, DriveResult, TickSample, profile_enabled
 from repro.simulate.scenarios import DriveScenario, ScenarioSpec
-from repro.simulate.throughput import ThroughputModel
 from repro.simulate.traffic import (
     ConstantRate,
     NoTraffic,
@@ -66,7 +67,7 @@ from repro.simulate.traffic import (
     Speedtest,
     TrafficModel,
 )
-from repro.ue.device import HandoffEvent, RrcState, UserEquipment
+from repro.ue.device import HandoffEvent, RrcState
 from repro.ue.measurement import BatchMeasurementState, MeasurementRound
 
 #: Default population mix: mostly parked devices, a transit-riding
@@ -90,51 +91,15 @@ _PROFILE_BLOCK_M = {"pedestrian": 100.0, "vehicle": 450.0, "transit": 450.0}
 PING_PONG_WINDOW_MS = 10_000
 
 
-def _profile_enabled() -> bool:
-    return os.environ.get("REPRO_PROFILE", "0") not in ("", "0")
-
-
-_TAGF = _codec._TAG_FLOAT_BYTE
-_PACK_DOUBLE = _codec._PACK_DOUBLE
-_HEADER_PACK = _diag._HEADER.pack
-
-
-def _phy_template(cell) -> tuple:
-    """Codec template parts for quiet-path PHY records serving ``cell``.
-
-    Returns ``(head, mid, tail, base_sum, payload_len)``: the codec's
-    own template bytes around the two packed doubles, the checksum
-    contribution of everything except those doubles, and the total
-    payload length.  Encoding one reference message through the codec
-    keeps the parts definitionally identical to the slow path (the
-    quiet path's ``sinr_db`` and ``rrc_connected`` are constants).
-    """
-    message = PhyServingMeas(
-        carrier=cell.carrier,
-        gci=cell.cell_id.gci,
-        channel=cell.channel,
-        rat=cell.rat.value,
-        rsrp_dbm=0.0,
-        rsrq_db=0.0,
-        sinr_db=0.0,
-        rrc_connected=True,
-    )
-    _codec.encode_message(message)
-    head, mid, tail = _codec._phy_templates[
-        (message.carrier, message.gci, message.channel, message.rat, 0.0, True)
-    ]
-    base_sum = sum(head) + sum(mid) + sum(tail) + 2 * _codec._TAG_FLOAT
-    return (head, mid, tail, base_sum, len(head) + len(mid) + len(tail) + 18)
-
-
 def _monitor_batch_info(meas_config) -> tuple:
     """Grouping key and parameter matrix for the batched event pass.
 
     Returns ``(signature, params, s_measure, periodic)`` where
     ``signature`` is the armed ``(event, metric)`` tuple — the batch
     groups lanes by it — and ``params`` is an ``(events, 4)`` float
-    matrix of ``[hysteresis, threshold1, threshold2, offset]`` rows
-    (absent thresholds as 0.0; their events never read them).
+    matrix of ``[hysteresis, threshold1, threshold2, offset]`` rows, the
+    layout of :meth:`EventColumns.from_matrix` (absent thresholds as
+    0.0; their events never read them).
     """
     events = meas_config.events
     signature = tuple((c.event, c.metric) for c in events)
@@ -357,6 +322,11 @@ class UEResult:
         result.ping_rtts_ms = list(self.ping_rtts_ms)
         return result
 
+    @property
+    def ping_pongs(self) -> int:
+        """This UE's ping-pongs (:func:`count_ping_pongs` of its handoffs)."""
+        return count_ping_pongs((h.source, h.target, h.time_ms) for h in self.handoffs)
+
     def summary_row(self) -> dict:
         """Deterministic per-UE summary (the CLI's JSON row)."""
         return {
@@ -365,7 +335,7 @@ class UEResult:
             "carrier": self.carrier,
             "n_ticks": self.n_ticks,
             "handoffs": len(self.handoffs),
-            "ping_pongs": count_ping_pongs(self.handoffs),
+            "ping_pongs": self.ping_pongs,
             "delivered_mbit": round(self.delivered_bits / 1e6, 6),
             "interrupted_ticks": self.interrupted_ticks,
             "diag_sha256": self.diag_sha256,
@@ -373,17 +343,20 @@ class UEResult:
         }
 
 
-def count_ping_pongs(handoffs: list[HandoffEvent]) -> int:
-    """A->B->A pairs within :data:`PING_PONG_WINDOW_MS` (per UE)."""
-    count = 0
-    for first, second in zip(handoffs, handoffs[1:]):
-        if (
-            second.source == first.target
-            and second.target == first.source
-            and second.time_ms - first.time_ms <= PING_PONG_WINDOW_MS
-        ):
-            count += 1
-    return count
+def count_ping_pongs(hops: Iterable[tuple]) -> int:
+    """A->B->A returns within :data:`PING_PONG_WINDOW_MS` (inclusive).
+
+    ``hops`` are one device's time-ordered ``(source, target, time_ms)``
+    handoffs; each hop that undoes the previous one within the window
+    counts.  The fleet's aggregates and the trace analysis of
+    :mod:`repro.core.analysis.instability` both count through here.
+    """
+    hops = list(hops)
+    return sum(
+        1
+        for (source, target, t0), (back_source, back_target, t1) in zip(hops, hops[1:])
+        if back_source == target and back_target == source and t1 - t0 <= PING_PONG_WINDOW_MS
+    )
 
 
 @dataclass
@@ -425,7 +398,7 @@ def aggregate(results: list[UEResult], tick_ms: int) -> FleetAggregates:
     total_ticks = sum(r.n_ticks for r in results)
     total_handoffs = sum(len(r.handoffs) for r in results)
     hours = total_ticks * tick_ms / 3_600_000.0
-    ping_pongs = sum(count_ping_pongs(r.handoffs) for r in results)
+    ping_pongs = sum(r.ping_pongs for r in results)
     occupancy: Counter = Counter()
     storms: Counter = Counter()
     delivered = 0.0
@@ -459,244 +432,29 @@ def aggregate(results: list[UEResult], tick_ms: int) -> FleetAggregates:
     )
 
 
-class _Lane:
-    """One fleet UE's live state: replicates ``DriveSimulator.run``.
-
-    The per-tick body is the runner's, line for line — the fleet only
-    front-loads work (snapshots, measurement rounds, event masks) that
-    :meth:`step` would otherwise compute itself, never different work.
-    """
-
-    __slots__ = (
-        "spec",
-        "trajectory",
-        "carrier",
-        "tick_ms",
-        "traffic",
-        "is_ping",
-        "is_speedtest",
-        "static",
-        "ue",
-        "writer",
-        "throughput",
-        "samples",
-        "ping_rtts",
-        "occupancy",
-        "delivered_bits",
-        "interrupted_ticks",
-        "n_ticks",
-        "location",
-        "row",
-        "batched",
-        "quiet",
-        "quiet_fm",
-        "_phy_cell",
-        "_phy_parts",
-        "_gt_snap",
-        "_gt_serving",
-        "_gt_rsrp",
-        "_gt_sinr",
-        "_cap_serving",
-        "_cap_sinr",
-        "_cap_epoch",
-        "_cap_value",
-        "_occ_cell",
-        "_occ_run",
+def _ue_result(spec: UESpec, lane: DriveLane, keep_samples: bool) -> UEResult:
+    """The :class:`UEResult` of fleet member ``spec``'s finished lane."""
+    diag = lane.writer.getvalue()
+    meas = lane.ue.meas
+    return UEResult(
+        index=spec.index,
+        profile=spec.profile,
+        carrier=spec.carrier,
+        seed=spec.seed,
+        tick_ms=lane.tick_ms,
+        n_ticks=lane.n_ticks,
+        handoffs=list(lane.ue.handoffs),
+        ping_rtts_ms=lane.ping_rtts,
+        diag_sha256=hashlib.sha256(diag).hexdigest(),
+        diag_len=len(diag),
+        delivered_bits=lane.delivered_bits,
+        interrupted_ticks=lane.interrupted_ticks,
+        occupancy={str(k): v for k, v in sorted(lane.occupancy().items())},
+        intra_freq_rounds=meas.intra_freq_rounds,
+        non_intra_freq_rounds=meas.non_intra_freq_rounds,
+        samples=lane.samples,
+        diag_log=diag if keep_samples else None,
     )
-
-    def __init__(
-        self,
-        spec: UESpec,
-        trajectory: Trajectory,
-        scenario: DriveScenario,
-        tick_ms: int,
-        traffic: TrafficModel,
-        keep_samples: bool,
-    ):
-        self.spec = spec
-        self.trajectory = trajectory
-        self.carrier = spec.carrier
-        self.tick_ms = tick_ms
-        self.traffic = traffic
-        self.is_ping = isinstance(traffic, Ping)
-        self.is_speedtest = type(traffic) is Speedtest
-        #: Parked trajectories hold one position for the whole run, so
-        #: the simulate loop skips their per-tick position/spot work.
-        self.static = spec.profile == "parked"
-        # Exactly the runner's wiring with run_index=0: same UE seed,
-        # same throughput RNG stream.
-        self.ue = UserEquipment(
-            scenario.env, scenario.server, spec.carrier, seed=spec.seed * 1009 + 0
-        )
-        self.writer = DiagWriter.in_memory()
-        self.ue.add_listener(lambda t, message, direction: self.writer.write(t, message))
-        self.throughput = ThroughputModel(
-            rng=np.random.default_rng((spec.seed, 0, 0x7A))
-        )
-        self.samples: list[TickSample] | None = [] if keep_samples else None
-        self.ping_rtts: list[tuple[int, float | None]] = []
-        self.occupancy: Counter = Counter()
-        self.delivered_bits = 0.0
-        self.interrupted_ticks = 0
-        self.n_ticks = 0
-        self.batched = False
-        self.quiet = False
-        self.quiet_fm: tuple | None = None
-        # Serving-cell PHY emission template: quiet-tick serving
-        # measurements dominate the diag stream, and their payload is
-        # fixed bytes around the two packed doubles (sinr 0.0 and
-        # rrc_connected=True are constants on the quiet path).
-        self._phy_cell = None
-        self._phy_parts: tuple | None = None
-        # Ground-truth serving measurement and capacity memos: a parked
-        # UE's (snapshot, serving) pair and load-share epoch repeat for
-        # many consecutive ticks, and both lookups are pure given them.
-        self._gt_snap = None
-        self._gt_serving = None
-        self._gt_rsrp = -140.0
-        self._gt_sinr = -20.0
-        self._cap_serving = None
-        self._cap_sinr = 0.0
-        self._cap_epoch = -1
-        self._cap_value = 0.0
-        # Serving-cell occupancy as run lengths (flushed on change).
-        self._occ_cell = None
-        self._occ_run = 0
-        self.location = trajectory.position(0)
-        self.ue.initial_camp(self.location, 0)
-        if traffic.generates_user_traffic:
-            self.ue.connect(0)
-
-    def step(self, now_ms: int) -> None:
-        """One tick at the already-assigned location (runner loop body)."""
-        ue = self.ue
-        if self.quiet:
-            # The batched event pass proved this tick a no-op; only the
-            # round counters (and a due PHY emission) happen.
-            self.quiet = False
-            fm = self.quiet_fm
-            if fm is None:
-                ue.quiet_tick(now_ms)
-            elif len(ue._listeners) != 1:
-                ue.quiet_tick(now_ms, fm[0], fm[1])
-            else:
-                # Due PHY serving measurement, emitted directly: the
-                # lane's writer is the device's only listener, so the
-                # notify -> dataclass -> encode dispatch chain reduces
-                # to splicing two packed doubles into the serving
-                # cell's cached payload template.  Bytes (payload,
-                # header, checksum) are identical to quiet_tick's.
-                meas = ue.meas
-                meas.intra_freq_rounds += 1
-                meas.non_intra_freq_rounds += 1
-                ue._last_phy_meas_ms = now_ms
-                serving = ue.serving
-                if serving is not self._phy_cell:
-                    self._phy_cell = serving
-                    self._phy_parts = _phy_template(serving)
-                head, mid, tail, base_sum, length = self._phy_parts
-                p1 = _PACK_DOUBLE(fm[0])
-                p2 = _PACK_DOUBLE(fm[1])
-                writer = self.writer
-                stream = writer._stream
-                stream.write(
-                    _HEADER_PACK(
-                        _diag._MAGIC,
-                        length,
-                        now_ms,
-                        (base_sum + sum(p1) + sum(p2)) & 0xFFFF,
-                    )
-                )
-                stream.write(b"".join((head, _TAGF, p1, mid, _TAGF, p2, tail)))
-                writer.records_written += 1
-        else:
-            ue.tick(now_ms, self.location)
-        serving = ue.serving
-        # The spots pass (or initial camp, for parked lanes) left this
-        # tick's snapshot in the engine memo.
-        snap = ue.meas._snap
-        if snap is self._gt_snap and serving is self._gt_serving:
-            rsrp, sinr = self._gt_rsrp, self._gt_sinr
-        else:
-            if serving in snap:
-                measurement = snap.measure(serving)
-                rsrp, sinr = measurement.rsrp_dbm, measurement.sinr_db
-            else:
-                rsrp, sinr = -140.0, -20.0
-            self._gt_snap, self._gt_serving = snap, serving
-            self._gt_rsrp, self._gt_sinr = rsrp, sinr
-        if now_ms < ue.interrupted_until_ms:
-            interrupted = True
-            capacity = 0.0
-            self.interrupted_ticks += 1
-        else:
-            interrupted = False
-            epoch = now_ms // 4000
-            if (
-                serving is self._cap_serving
-                and sinr == self._cap_sinr
-                and epoch == self._cap_epoch
-            ):
-                capacity = self._cap_value
-            else:
-                capacity = self.throughput.capacity_bps(serving, sinr, now_ms)
-                self._cap_serving, self._cap_sinr = serving, sinr
-                self._cap_epoch, self._cap_value = epoch, capacity
-        if self.is_speedtest:
-            delivered_bits = capacity * self.tick_ms / 1000.0
-        else:
-            delivered_bits = self.traffic.delivered_bits(capacity, self.tick_ms, now_ms)
-        self.delivered_bits += delivered_bits
-        if serving is self._occ_cell:
-            self._occ_run += 1
-        else:
-            if self._occ_run:
-                self.occupancy[self._occ_cell.cell_id] += self._occ_run
-            self._occ_cell = serving
-            self._occ_run = 1
-        self.n_ticks += 1
-        if self.samples is not None:
-            self.samples.append(
-                TickSample(
-                    t_ms=now_ms,
-                    serving=serving.cell_id,
-                    rsrp_dbm=rsrp,
-                    sinr_db=sinr,
-                    capacity_bps=capacity,
-                    delivered_bps=delivered_bits * 1000.0 / self.tick_ms,
-                    interrupted=interrupted,
-                )
-            )
-        if self.is_ping and self.traffic.probe_due(now_ms, self.tick_ms):
-            if self.throughput.ping_lost(sinr, interrupted):
-                self.ping_rtts.append((now_ms, None))
-            else:
-                self.ping_rtts.append((now_ms, self.throughput.rtt_ms(sinr)))
-
-    def finish(self, keep_samples: bool) -> UEResult:
-        if self._occ_run:
-            self.occupancy[self._occ_cell.cell_id] += self._occ_run
-            self._occ_run = 0
-        diag = self.writer.getvalue()
-        return UEResult(
-            index=self.spec.index,
-            profile=self.spec.profile,
-            carrier=self.spec.carrier,
-            seed=self.spec.seed,
-            tick_ms=self.tick_ms,
-            n_ticks=self.n_ticks,
-            handoffs=list(self.ue.handoffs),
-            ping_rtts_ms=self.ping_rtts,
-            diag_sha256=hashlib.sha256(diag).hexdigest(),
-            diag_len=len(diag),
-            delivered_bits=self.delivered_bits,
-            interrupted_ticks=self.interrupted_ticks,
-            occupancy={str(k): v for k, v in sorted(self.occupancy.items())},
-            intra_freq_rounds=self.ue.meas.intra_freq_rounds,
-            non_intra_freq_rounds=self.ue.meas.non_intra_freq_rounds,
-            samples=self.samples if keep_samples else None,
-            diag_log=diag if keep_samples else None,
-        )
 
 
 @dataclass
@@ -721,7 +479,7 @@ class FleetSimulator:
         self._transit_cache: dict[int, Trajectory] = {}
         #: (trajectory id, carrier) -> (anchor tick ms, snapshot chunk).
         self._lookahead: dict[tuple, tuple[int, list]] = {}
-        self.profile: dict[str, float] | None = {} if _profile_enabled() else None
+        self.profile: dict[str, float] | None = {} if profile_enabled() else None
 
     def _trajectory(self, spec: UESpec) -> Trajectory:
         if spec.profile == "transit":
@@ -756,18 +514,21 @@ class FleetSimulator:
             for carrier in options.carriers:
                 warn_before_run(self.scenario.env, self.scenario.server, carrier)
         specs = ue_specs(options, start, count)
-        lanes = [
-            _Lane(
-                spec,
-                self._trajectory(spec),
-                self.scenario,
-                options.tick_ms,
-                make_traffic(options.traffic),
-                options.keep_samples,
-            )
-            for spec in specs
-        ]
         env = self.scenario.env
+        lanes = []
+        for spec in specs:
+            lane = DriveLane(
+                env,
+                self.scenario.server,
+                spec.carrier,
+                self._trajectory(spec),
+                make_traffic(options.traffic),
+                options.tick_ms,
+                spec.seed,
+                keep_samples=options.keep_samples,
+            )
+            lane.static = spec.profile == "parked"
+            lanes.append(lane)
         profile = self.profile
         now_ms = 0
         tick_index = 0
@@ -796,7 +557,7 @@ class FleetSimulator:
                 lane.location = position
             # Snapshot sharing: one physics pass per occupied
             # (location, carrier) spot; co-located lanes adopt it.
-            spots: dict[tuple, list[_Lane]] = {}
+            spots: dict[tuple, list[DriveLane]] = {}
             for lane in movers:
                 location = lane.location
                 spots.setdefault((location.x, location.y, lane.carrier), []).append(lane)
@@ -827,7 +588,7 @@ class FleetSimulator:
             # detached first: the batch matrices update in place, so its
             # engine must own private arrays before the batch steps on
             # without it.
-            batch: list[_Lane] = []
+            batch: list[DriveLane] = []
             for lane in active:
                 ue = lane.ue
                 command = ue.pending_handover
@@ -855,7 +616,8 @@ class FleetSimulator:
             # Per-lane tick: consumes the pending rounds and injected
             # masks; lanes outside the batch take the normal path.
             for lane in active:
-                lane.step(now_ms)
+                lane.tick(now_ms)
+                lane.sample(now_ms)
             if profile is not None:
                 profile["fleet_lanes"] = profile.get("fleet_lanes", 0.0) + perf_counter() - t0
             now_ms += options.tick_ms
@@ -879,9 +641,12 @@ class FleetSimulator:
                     batch_state.profile = profile
                     for row, lane in enumerate(active):
                         lane.row = row
-        return [lane.finish(options.keep_samples) for lane in lanes]
+        return [
+            _ue_result(spec, lane, options.keep_samples)
+            for spec, lane in zip(specs, lanes)
+        ]
 
-    def _lookahead_snap(self, lane: _Lane, now_ms: int):
+    def _lookahead_snap(self, lane: DriveLane, now_ms: int):
         """This tick's snapshot for a moving lane, physics precomputed.
 
         A trajectory's future positions are a pure function of time, so
@@ -934,7 +699,7 @@ class FleetSimulator:
         return snaps[0]
 
     def _batch_step(
-        self, now_ms: int, group: list[_Lane], state: BatchMeasurementState
+        self, now_ms: int, group: list[DriveLane], state: BatchMeasurementState
     ) -> None:
         """Advance every batched UE of this tick in matrix form."""
         snaps = [lane.ue.meas._snap for lane in group]
@@ -956,10 +721,9 @@ class FleetSimulator:
         # lists per tick, so neighborhood subgroups degenerate into
         # singletons, while a carrier arms only a handful of signatures.
         # Per-config parameters (hysteresis, thresholds, offset) become
-        # per-member columns; elementwise, ``v[k, j] - hys[k] > th[k]``
-        # is the identical IEEE double comparison entry_mask evaluates
-        # with scalar parameters, so each lane's row stays bit-exact
-        # while one masked pass covers nearly the whole batch.
+        # per-member columns of one entry_mask call per event; row k is
+        # bit-identical to member k's own scalar call, while one masked
+        # pass covers nearly the whole batch.
         serving_memo = state._serving_memo
         rat_lte = state._rat_lte
         # Rounds are materialized lazily: only lanes whose tick actually
@@ -1024,39 +788,24 @@ class FleetSimulator:
             intra = base & ratm
             inter = base & ~ratm
             values = {"rsrp": filt_rsrp[mrows], "rsrq": filt_rsrq[mrows]}
-            serving_values = {"rsrp": sv_rsrp, "rsrq": sv_rsrq}
+            serving_values = {"rsrp": sv_rsrp[:, None], "rsrq": sv_rsrq[:, None]}
             #: Per-member: does ANY armed event's entry condition hold?
             any_entry = np.zeros(m, dtype=bool)
             entries: list = [None] * len(signature)
             for e_i, (event, metric) in enumerate(signature):
-                hys = params[:, e_i, 0]
-                if event.needs_neighbor:
-                    # entry_mask_batch's comparisons with the scalar
-                    # parameters lifted to per-member columns.
-                    v = values[metric]
-                    hcol = hys[:, None]
-                    if event in (EventType.A3, EventType.A6):
-                        s = serving_values[metric]
-                        entry = v - hcol > (s + params[:, e_i, 3])[:, None]
-                    elif event in (EventType.A4, EventType.B1):
-                        entry = v - hcol > params[:, e_i, 1][:, None]
-                    else:  # A5 / B2
-                        s = serving_values[metric]
-                        serving_ok = s + hys < params[:, e_i, 1]
-                        entry = serving_ok[:, None] & (v - hcol > params[:, e_i, 2][:, None])
-                    entry &= inter if event.is_inter_rat else intra
-                    hot = entry.any(axis=1)
-                    if hot.any():
-                        any_entry |= hot
-                        entries[e_i] = (entry, hot)
-                else:
-                    # A1/A2: the scalar evaluate_entry comparison lifted
-                    # over the member axis (same IEEE double ops).
-                    s = serving_values[metric]
-                    if event is EventType.A1:
-                        any_entry |= s - hys > params[:, e_i, 1]
-                    else:
-                        any_entry |= s + hys < params[:, e_i, 1]
+                entry = entry_mask(
+                    EventColumns.from_matrix(event, params[:, e_i]),
+                    serving_values[metric],
+                    values[metric],
+                )
+                if not event.needs_neighbor:  # A1/A2: one (m, 1) column
+                    any_entry |= entry[:, 0]
+                    continue
+                entry &= inter if event.is_inter_rat else intra
+                hot = entry.any(axis=1)
+                if hot.any():
+                    any_entry |= hot
+                    entries[e_i] = (entry, hot)
             if profile is not None:
                 now = perf_counter()
                 profile["fb_vector"] = profile.get("fb_vector", 0.0) + now - t0

@@ -5,11 +5,17 @@ run: the UE ticks along the trajectory, its signaling is logged to a
 diag buffer by the attached collector listener (exactly what MMLab does
 on a rooted phone), and the traffic model converts the serving link's
 capacity into delivered throughput (the role of tcpdump in the paper).
+
+The per-tick body is :class:`DriveLane`, the one per-UE run body of the
+simulator: a solo drive ticks one lane along its trajectory, and the
+fleet simulator (:mod:`repro.simulate.fleet`) ticks many lanes in
+lockstep.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -17,12 +23,20 @@ import numpy as np
 
 from repro.cellnet.cell import CellId
 from repro.cellnet.world import RadioEnvironment
+from repro.rrc import codec as _codec
+from repro.rrc import diag as _diag
 from repro.rrc.broadcast import ConfigServer
 from repro.rrc.diag import DiagWriter
+from repro.rrc.messages import PhyServingMeas
 from repro.simulate.mobility import Trajectory
 from repro.simulate.throughput import ThroughputModel
-from repro.simulate.traffic import NoTraffic, Ping, TrafficModel
-from repro.ue.device import HandoffEvent, RrcState, UserEquipment
+from repro.simulate.traffic import NoTraffic, Ping, Speedtest, TrafficModel
+from repro.ue.device import HandoffEvent, UserEquipment
+
+
+def profile_enabled() -> bool:
+    """Whether ``REPRO_PROFILE`` asks for per-stage timings."""
+    return os.environ.get("REPRO_PROFILE", "0") not in ("", "0")
 
 
 @dataclass(frozen=True)
@@ -74,6 +88,279 @@ class DriveResult:
                 acc[0] += sample.delivered_bps
                 acc[1] += 1
         return [(start, total / count) for start, (total, count) in sorted(bins.items())]
+
+
+_TAGF = _codec._TAG_FLOAT_BYTE
+_PACK_DOUBLE = _codec._PACK_DOUBLE
+_HEADER_PACK = _diag._HEADER.pack
+
+
+def _phy_template(cell) -> tuple:
+    """Codec template parts for quiet-path PHY records serving ``cell``.
+
+    Returns ``(head, mid, tail, base_sum, payload_len)``: the codec's
+    own template bytes around the two packed doubles, the checksum
+    contribution of everything except those doubles, and the total
+    payload length.  Encoding one reference message through the codec
+    keeps the parts definitionally identical to the slow path (the
+    quiet path's ``sinr_db`` and ``rrc_connected`` are constants).
+    """
+    message = PhyServingMeas(
+        carrier=cell.carrier,
+        gci=cell.cell_id.gci,
+        channel=cell.channel,
+        rat=cell.rat.value,
+        rsrp_dbm=0.0,
+        rsrq_db=0.0,
+        sinr_db=0.0,
+        rrc_connected=True,
+    )
+    _codec.encode_message(message)
+    head, mid, tail = _codec._phy_templates[
+        (message.carrier, message.gci, message.channel, message.rat, 0.0, True)
+    ]
+    base_sum = sum(head) + sum(mid) + sum(tail) + 2 * _codec._TAG_FLOAT
+    return (head, mid, tail, base_sum, len(head) + len(mid) + len(tail) + 18)
+
+
+class DriveLane:
+    """One UE's drive: its wiring, its live state and its per-tick body.
+
+    The UE is seeded with ``seed * 1009 + run_index`` and the throughput
+    model draws from ``(seed, run_index, 0x7A)``, so a lane is the same
+    device wherever it runs.  Each tick the caller assigns ``location``,
+    then calls :meth:`tick` (the UE's step) and :meth:`sample` (ground
+    truth, delivered traffic, ping probes).  A fleet front-loads work
+    the tick would otherwise compute itself — shared snapshots, batched
+    measurement rounds, event masks, quiet-tick proofs — never different
+    work, so a fleet member's outputs equal its solo drive bit for bit.
+    """
+
+    __slots__ = (
+        "trajectory",
+        "carrier",
+        "tick_ms",
+        "traffic",
+        "is_ping",
+        "is_speedtest",
+        "static",
+        "ue",
+        "writer",
+        "throughput",
+        "samples",
+        "ping_rtts",
+        "delivered_bits",
+        "interrupted_ticks",
+        "n_ticks",
+        "location",
+        "row",
+        "batched",
+        "quiet",
+        "quiet_fm",
+        "_phy_cell",
+        "_phy_parts",
+        "_gt_snap",
+        "_gt_serving",
+        "_gt_rsrp",
+        "_gt_sinr",
+        "_cap_serving",
+        "_cap_sinr",
+        "_cap_epoch",
+        "_cap_value",
+        "_occupancy",
+        "_occ_cell",
+        "_occ_run",
+    )
+
+    def __init__(
+        self,
+        env: RadioEnvironment,
+        server: ConfigServer,
+        carrier: str,
+        trajectory: Trajectory,
+        traffic: TrafficModel,
+        tick_ms: int,
+        seed: int,
+        run_index: int = 0,
+        vectorized: bool | None = None,
+        keep_samples: bool = True,
+    ):
+        self.trajectory = trajectory
+        self.carrier = carrier
+        self.tick_ms = tick_ms
+        self.traffic = traffic
+        self.is_ping = isinstance(traffic, Ping)
+        self.is_speedtest = type(traffic) is Speedtest
+        #: Set by the fleet for parked trajectories, which hold one
+        #: position for the whole run: its loop skips their per-tick
+        #: position/spot work.
+        self.static = False
+        self.ue = UserEquipment(
+            env, server, carrier, seed=seed * 1009 + run_index, vectorized=vectorized
+        )
+        # The listener closes over the writer, not the lane: a lane ->
+        # UE -> listener -> lane cycle would keep a finished drive's
+        # state alive until the cyclic collector runs.
+        writer = self.writer = DiagWriter.in_memory()
+        self.ue.add_listener(lambda t, message, direction: writer.write(t, message))
+        self.throughput = ThroughputModel(
+            rng=np.random.default_rng((seed, run_index, 0x7A))
+        )
+        self.samples: list[TickSample] | None = [] if keep_samples else None
+        self.ping_rtts: list[tuple[int, float | None]] = []
+        self.delivered_bits = 0.0
+        self.interrupted_ticks = 0
+        self.n_ticks = 0
+        # Fleet batching state: whether the lane is in the batch (its
+        # row is ``row``), and whether the batched pass proved this
+        # tick a no-op (``quiet_fm``: serving metrics of a due PHY
+        # emission).
+        self.batched = False
+        self.quiet = False
+        self.quiet_fm: tuple | None = None
+        # Serving-cell PHY emission template: quiet-tick serving
+        # measurements dominate the diag stream, and their payload is
+        # fixed bytes around the two packed doubles (sinr 0.0 and
+        # rrc_connected=True are constants on the quiet path).
+        self._phy_cell = None
+        self._phy_parts: tuple | None = None
+        # Ground-truth serving measurement and capacity memos: a parked
+        # UE's (snapshot, serving) pair and load-share epoch repeat for
+        # many consecutive ticks, and both lookups are pure given them.
+        self._gt_snap = None
+        self._gt_serving = None
+        self._gt_rsrp = -140.0
+        self._gt_sinr = -20.0
+        self._cap_serving = None
+        self._cap_sinr = 0.0
+        self._cap_epoch = -1
+        self._cap_value = 0.0
+        # Serving-cell occupancy as run lengths (flushed on change).
+        self._occupancy: Counter = Counter()
+        self._occ_cell = None
+        self._occ_run = 0
+        self.location = trajectory.position(0)
+        self.ue.initial_camp(self.location, 0)
+        if traffic.generates_user_traffic:
+            self.ue.connect(0)
+
+    def tick(self, now_ms: int) -> None:
+        """The UE's step at the already-assigned ``location``."""
+        ue = self.ue
+        if not self.quiet:
+            ue.tick(now_ms, self.location)
+            return
+        # The fleet's batched event pass proved this tick a no-op; only
+        # the round counters (and a due PHY emission) happen.
+        self.quiet = False
+        fm = self.quiet_fm
+        if fm is None:
+            ue.quiet_tick(now_ms)
+        elif len(ue._listeners) != 1:
+            ue.quiet_tick(now_ms, fm[0], fm[1])
+        else:
+            # Due PHY serving measurement, emitted directly: the lane's
+            # writer is the device's only listener, so the notify ->
+            # dataclass -> encode dispatch chain reduces to splicing two
+            # packed doubles into the serving cell's cached payload
+            # template.  Bytes (payload, header, checksum) are identical
+            # to quiet_tick's.
+            meas = ue.meas
+            meas.intra_freq_rounds += 1
+            meas.non_intra_freq_rounds += 1
+            ue._last_phy_meas_ms = now_ms
+            serving = ue.serving
+            if serving is not self._phy_cell:
+                self._phy_cell = serving
+                self._phy_parts = _phy_template(serving)
+            head, mid, tail, base_sum, length = self._phy_parts
+            p1 = _PACK_DOUBLE(fm[0])
+            p2 = _PACK_DOUBLE(fm[1])
+            writer = self.writer
+            stream = writer._stream
+            stream.write(
+                _HEADER_PACK(
+                    _diag._MAGIC,
+                    length,
+                    now_ms,
+                    (base_sum + sum(p1) + sum(p2)) & 0xFFFF,
+                )
+            )
+            stream.write(b"".join((head, _TAGF, p1, mid, _TAGF, p2, tail)))
+            writer.records_written += 1
+
+    def sample(self, now_ms: int) -> None:
+        """Ground truth, delivered traffic and ping probes of this tick."""
+        ue = self.ue
+        serving = ue.serving
+        # The UE's tick (or, on a fleet's quiet tick, the spots pass or
+        # a parked lane's initial camp) left this tick's snapshot in the
+        # engine memo.
+        snap = ue.meas._snap
+        if snap is self._gt_snap and serving is self._gt_serving:
+            rsrp, sinr = self._gt_rsrp, self._gt_sinr
+        else:
+            if serving in snap:
+                measurement = snap.measure(serving)
+                rsrp, sinr = measurement.rsrp_dbm, measurement.sinr_db
+            else:
+                rsrp, sinr = -140.0, -20.0
+            self._gt_snap, self._gt_serving = snap, serving
+            self._gt_rsrp, self._gt_sinr = rsrp, sinr
+        if now_ms < ue.interrupted_until_ms:
+            interrupted = True
+            capacity = 0.0
+            self.interrupted_ticks += 1
+        else:
+            interrupted = False
+            epoch = now_ms // 4000
+            if (
+                serving is self._cap_serving
+                and sinr == self._cap_sinr
+                and epoch == self._cap_epoch
+            ):
+                capacity = self._cap_value
+            else:
+                capacity = self.throughput.capacity_bps(serving, sinr, now_ms)
+                self._cap_serving, self._cap_sinr = serving, sinr
+                self._cap_epoch, self._cap_value = epoch, capacity
+        if self.is_speedtest:
+            delivered_bits = capacity * self.tick_ms / 1000.0
+        else:
+            delivered_bits = self.traffic.delivered_bits(capacity, self.tick_ms, now_ms)
+        self.delivered_bits += delivered_bits
+        if serving is self._occ_cell:
+            self._occ_run += 1
+        else:
+            if self._occ_run:
+                self._occupancy[self._occ_cell.cell_id] += self._occ_run
+            self._occ_cell = serving
+            self._occ_run = 1
+        self.n_ticks += 1
+        if self.samples is not None:
+            self.samples.append(
+                TickSample(
+                    t_ms=now_ms,
+                    serving=serving.cell_id,
+                    rsrp_dbm=rsrp,
+                    sinr_db=sinr,
+                    capacity_bps=capacity,
+                    delivered_bps=delivered_bits * 1000.0 / self.tick_ms,
+                    interrupted=interrupted,
+                )
+            )
+        if self.is_ping and self.traffic.probe_due(now_ms, self.tick_ms):
+            if self.throughput.ping_lost(sinr, interrupted):
+                self.ping_rtts.append((now_ms, None))
+            else:
+                self.ping_rtts.append((now_ms, self.throughput.rtt_ms(sinr)))
+
+    def occupancy(self) -> Counter:
+        """Ticks served so far, per serving cell id."""
+        if self._occ_run:
+            self._occupancy[self._occ_cell.cell_id] += self._occ_run
+            self._occ_run = 0
+        return self._occupancy
 
 
 class DriveSimulator:
@@ -133,72 +420,43 @@ class DriveSimulator:
             from repro.lint.engine import warn_before_run
 
             warn_before_run(self.env, self.server, self.carrier)
-        traffic = traffic if traffic is not None else NoTraffic()
-        ue = UserEquipment(
+        lane = DriveLane(
             self.env,
             self.server,
             self.carrier,
-            seed=(self.seed * 1009 + run_index),
-            vectorized=self.vectorized,
+            trajectory,
+            traffic if traffic is not None else NoTraffic(),
+            self.tick_ms,
+            self.seed,
+            run_index,
+            self.vectorized,
         )
-        writer = DiagWriter.in_memory()
-        ue.add_listener(lambda t, message, direction: writer.write(t, message))
-        throughput = ThroughputModel(
-            rng=np.random.default_rng((self.seed, run_index, 0x7A))
-        )
-        result = DriveResult(carrier=self.carrier, tick_ms=self.tick_ms)
         profile: dict[str, float] | None = None
-        if os.environ.get("REPRO_PROFILE", "0") not in ("", "0"):
+        if profile_enabled():
             profile = {}
-            ue.profile = profile
+            lane.ue.profile = profile
         now_ms = 0
-        start = trajectory.position(0)
-        ue.initial_camp(start, now_ms)
-        if traffic.generates_user_traffic:
-            ue.connect(now_ms)
         while now_ms <= trajectory.duration_ms:
-            location = trajectory.position(now_ms)
-            t0 = perf_counter() if profile is not None else 0.0
-            ue.tick(now_ms, location)
-            if profile is not None:
-                profile["ue_tick"] = profile.get("ue_tick", 0.0) + perf_counter() - t0
-                t0 = perf_counter()
-            serving = ue.serving
-            assert serving is not None
-            # Ground-truth sampling reuses the snapshot the UE's tick
-            # just took at this location (memoized per tick) instead of
-            # preparing and measuring the neighborhood a second time.
-            snap = ue.meas.snapshot(location, self.carrier)
-            if serving in snap:
-                measurement = snap.measure(serving)
-                rsrp, sinr = measurement.rsrp_dbm, measurement.sinr_db
+            lane.location = trajectory.position(now_ms)
+            if profile is None:
+                lane.tick(now_ms)
+                lane.sample(now_ms)
             else:
-                rsrp, sinr = -140.0, -20.0
-            interrupted = ue.is_interrupted(now_ms)
-            capacity = 0.0 if interrupted else throughput.capacity_bps(serving, sinr, now_ms)
-            delivered_bits = traffic.delivered_bits(capacity, self.tick_ms, now_ms)
-            result.samples.append(
-                TickSample(
-                    t_ms=now_ms,
-                    serving=serving.cell_id,
-                    rsrp_dbm=rsrp,
-                    sinr_db=sinr,
-                    capacity_bps=capacity,
-                    delivered_bps=delivered_bits * 1000.0 / self.tick_ms,
-                    interrupted=interrupted,
-                )
-            )
-            if isinstance(traffic, Ping) and traffic.probe_due(now_ms, self.tick_ms):
-                if throughput.ping_lost(sinr, interrupted):
-                    result.ping_rtts_ms.append((now_ms, None))
-                else:
-                    result.ping_rtts_ms.append((now_ms, throughput.rtt_ms(sinr)))
-            if profile is not None:
+                t0 = perf_counter()
+                lane.tick(now_ms)
+                t1 = perf_counter()
+                lane.sample(now_ms)
+                profile["ue_tick"] = profile.get("ue_tick", 0.0) + t1 - t0
                 profile["ground_truth"] = (
-                    profile.get("ground_truth", 0.0) + perf_counter() - t0
+                    profile.get("ground_truth", 0.0) + perf_counter() - t1
                 )
             now_ms += self.tick_ms
-        result.handoffs = list(ue.handoffs)
-        result.diag_log = writer.getvalue()
-        result.profile = profile
-        return result
+        return DriveResult(
+            carrier=self.carrier,
+            tick_ms=self.tick_ms,
+            samples=lane.samples,
+            handoffs=list(lane.ue.handoffs),
+            diag_log=lane.writer.getvalue(),
+            ping_rtts_ms=lane.ping_rtts,
+            profile=profile,
+        )

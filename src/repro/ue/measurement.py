@@ -10,12 +10,15 @@ The paper leans on this twice: "3 dB measurement dynamics is common"
 when interpreting delta-RSRP CDFs (Fig. 6), and time-to-trigger exists
 precisely because single samples are noisy.
 
-Two implementations share the engine: the default *vectorized* path
-keeps filter state in numpy arrays aligned with the snapshot cache's
-prepared cell list (one masked array pass per round, stable cell-index
-maps, carry-over when the UE crosses a cache-grid boundary), and the
-*scalar* path is the original per-cell loop, kept as a reference oracle
-— parity tests assert both produce bit-identical drives.
+The engine's default *vectorized* path keeps filter state in numpy
+arrays aligned with the snapshot cache's prepared cell list (one masked
+array pass per round, stable cell-index maps, carry-over when the UE
+crosses a cache-grid boundary) and serves every round a UE takes,
+S-gated idle rounds included.  :class:`BatchMeasurementState` performs
+the same full-measure connected rounds for a whole fleet shard at once,
+in persistent (UE x cell) matrices.  The *scalar* path is the original
+per-cell loop, kept as the one reference oracle (``REPRO_SCALAR=1``) —
+parity tests assert all three produce bit-identical drives.
 """
 
 from __future__ import annotations
@@ -259,10 +262,11 @@ class MeasurementEngine:
         the same element sequence.  Serving slices of one large buffered
         draw is therefore bit-identical to ``m`` direct draws — leftover
         tail values are carried across refills, never discarded, keeping
-        the served sequence exactly the unbuffered one.  All vectorized
-        measurement paths (solo, connected batch, fleet matrix) draw
-        through this tap, which is what keeps a fleet lane's stream
-        aligned with the same UE simulated solo.
+        the served sequence exactly the unbuffered one.  Both vectorized
+        measurement paths (:meth:`_step_vectorized` and the fleet's
+        :class:`BatchMeasurementState`) draw through this tap, which is
+        what keeps a fleet lane's stream aligned with the same UE
+        simulated solo.
         """
         buf = self._noise_buf
         pos = self._noise_pos
@@ -288,7 +292,8 @@ class MeasurementEngine:
         """Raw vectorized snapshot of the carrier's audible cells.
 
         Memoized on (location, carrier): repeated calls within one tick
-        (UE step + runner ground truth) reuse the same snapshot object.
+        reuse the same snapshot object, and the drive lane's ground-truth
+        sampling reads this tick's snapshot from the memo.
         """
         key = (location.x, location.y, carrier)
         if key == self._snap_key:
@@ -419,97 +424,6 @@ class MeasurementEngine:
         self._filt_rsrp, self._filt_rsrq, self._has_filt = filt_rsrp, filt_rsrq, eligible
         return MeasurementRound(prepared, filt_rsrp, filt_rsrq, eligible)
 
-    #: Raw-metric value used to pad batch rows past a lane's own cell
-    #: count: far below every detection floor, so padded positions are
-    #: never eligible, and sliced away before anything is committed.
-    _BATCH_PAD = -1.0e9
-
-    @staticmethod
-    def step_connected_batch(
-        engines: list["MeasurementEngine"],
-        snaps: list[RadioSnapshot],
-        servings: list[Cell],
-    ) -> tuple[list[MeasurementRound], np.ndarray, np.ndarray, np.ndarray]:
-        """One full-measure connected round for many engines at once.
-
-        Lanes may live in *different* snapshot-cache neighborhoods: row
-        ``g`` spans its own prepared cell list and is padded out to the
-        batch-wide maximum with :data:`_BATCH_PAD` (ineligible by
-        construction).  Every per-cell update is elementwise, so row
-        ``g``'s leading ``n_g`` values reproduce engine ``g``'s own
-        :meth:`_step_vectorized` bit for bit: the noise comes from each
-        engine's own RNG (same draws, same order), and the clamp/IIR
-        updates are the same ufuncs broadcast over the UE axis.  Each
-        engine's round is stashed in ``_pending_round`` for its next
-        :meth:`step` call to consume; filter state is committed here.
-
-        Returns ``(rounds, filt_rsrp, filt_rsrq, eligible)`` with the
-        arrays shaped (UE, max cells) for the caller's batched event
-        pass; callers slice row ``g`` to its own cell count.
-        """
-        g = len(engines)
-        ns = [len(snap.prepared.cells) for snap in snaps]
-        max_n = max(ns)
-        pad = MeasurementEngine._BATCH_PAD
-        rsrp_raw = np.full((g, max_n), pad)
-        rsrq_raw = np.full((g, max_n), pad)
-        noise_rsrp = np.zeros((g, max_n))
-        noise_rsrq = np.zeros((g, max_n))
-        prev_rsrp = np.zeros((g, max_n))
-        prev_rsrq = np.zeros((g, max_n))
-        has = np.zeros((g, max_n), dtype=bool)
-        floors = np.empty((g, 1))
-        alpha = np.empty((g, 1))
-        stds = np.empty((g, 1))
-        for gi in range(g):
-            eng, snap, n = engines[gi], snaps[gi], ns[gi]
-            prepared = snap.prepared
-            raw_rsrp, raw_rsrq, _ = snap.metric_arrays()
-            rsrp_raw[gi, :n] = raw_rsrp
-            rsrq_raw[gi, :n] = raw_rsrq
-            z = eng._noise(2 * n)
-            noise_rsrp[gi, :n] = z[:n]
-            noise_rsrq[gi, :n] = z[n:]
-            if eng._aligned is not prepared:
-                eng._realign(prepared)
-            prev_rsrp[gi, :n] = eng._filt_rsrp
-            prev_rsrq[gi, :n] = eng._filt_rsrq
-            has[gi, :n] = eng._has_filt
-            floors[gi, 0] = eng.detection_floor_dbm
-            alpha[gi, 0] = eng.alpha
-            stds[gi, 0] = eng.noise_std_db
-        # Scaling the unit draws afterwards is the same multiply the
-        # per-engine path performs (z * std, z * (std / 2)).
-        noise_rsrp *= stds
-        noise_rsrq *= stds / 2.0
-        eligible = rsrp_raw >= floors
-        for gi, serving in enumerate(servings):
-            serving_i = snaps[gi].prepared.index.get(serving.cell_id)
-            if serving_i is not None:
-                eligible[gi, serving_i] = True
-        lo, hi = RSRP_RANGE_DBM
-        noisy_rsrp = np.minimum(np.maximum(rsrp_raw + noise_rsrp, lo), hi)
-        lo, hi = RSRQ_RANGE_DB
-        noisy_rsrq = np.minimum(np.maximum(rsrq_raw + noise_rsrq, lo), hi)
-        one_minus_alpha = 1.0 - alpha
-        filt_rsrp = np.where(
-            has, one_minus_alpha * prev_rsrp + alpha * noisy_rsrp, noisy_rsrp
-        )
-        filt_rsrq = np.where(
-            has, one_minus_alpha * prev_rsrq + alpha * noisy_rsrq, noisy_rsrq
-        )
-        rounds: list[MeasurementRound] = []
-        for gi in range(g):
-            eng, n = engines[gi], ns[gi]
-            row_rsrp = filt_rsrp[gi, :n]
-            row_rsrq = filt_rsrq[gi, :n]
-            row_elig = eligible[gi, :n]
-            eng._filt_rsrp, eng._filt_rsrq, eng._has_filt = row_rsrp, row_rsrq, row_elig
-            round_ = MeasurementRound(snaps[gi].prepared, row_rsrp, row_rsrq, row_elig)
-            eng._pending_round = round_
-            rounds.append(round_)
-        return rounds, filt_rsrp, filt_rsrq, eligible
-
     # -- scalar reference path ----------------------------------------------
 
     def _step_scalar(
@@ -558,10 +472,6 @@ class MeasurementEngine:
 
     # -- shared helpers ------------------------------------------------------
 
-    def serving_measurement(self, measured, serving: Cell) -> FilteredMeasurement:
-        """The serving cell's entry from a measurement round."""
-        return measured[serving.cell_id]
-
     @staticmethod
     def split_neighbors(
         measured, serving: Cell
@@ -590,13 +500,15 @@ class MeasurementEngine:
 class BatchMeasurementState:
     """Persistent (UE x cell) matrices for a lockstep fleet shard.
 
-    :meth:`MeasurementEngine.step_connected_batch` rebuilds its input
-    matrices from every engine on every call; for a fleet ticking the
-    same UEs in lockstep most rows are unchanged tick over tick (a
-    parked UE's raw snapshot never changes, and its filter state is
-    exactly last tick's output).  This class keeps the matrices alive
-    across ticks, refreshes only rows that went stale, and updates the
-    filter/eligibility matrices **in place**:
+    One full-measure connected round for many engines at once.  Lanes
+    may live in *different* snapshot-cache neighborhoods: row ``r``
+    spans its own prepared cell list and is padded out to the widest
+    row with :data:`_PAD` (ineligible by construction).  For a fleet
+    ticking the same UEs in lockstep most rows are unchanged tick over
+    tick (a parked UE's raw snapshot never changes, and its filter state
+    is exactly last tick's output), so the matrices stay alive across
+    ticks, only rows that went stale are refreshed, and the
+    filter/eligibility matrices are updated **in place**:
 
     * Raw metric rows are rewritten only when a UE's snapshot object
       changed (movers every tick, parked UEs never).
@@ -619,12 +531,16 @@ class BatchMeasurementState:
     or the full-matrix ufuncs would scribble over live engine state.
 
     Values are bit-identical to per-engine :meth:`_step_vectorized`
-    rounds for the same reason the stateless batch is: every update is
-    the same elementwise ufunc on the same operand values, and each
-    engine's RNG draws its own noise in its own order
-    (``standard_normal`` twice consumes the stream exactly as one
-    ``normal(0, 1, 2n)`` draw does).
+    rounds: every update is the same elementwise ufunc on the same
+    operand values, and each engine's RNG draws its own noise in its
+    own order (``standard_normal`` twice consumes the stream exactly as
+    one ``normal(0, 1, 2n)`` draw does).
     """
+
+    #: Raw-metric value used to pad rows past a lane's own cell count:
+    #: far below every detection floor, so padded positions are never
+    #: eligible, and sliced away before anything is committed.
+    _PAD = -1.0e9
 
     def __init__(self, n_rows: int):
         self.n_rows = n_rows
@@ -670,7 +586,7 @@ class BatchMeasurementState:
         """(Re)allocate matrices for a larger cell axis; all rows stale."""
         self.max_n = need_n
         g = self.n_rows
-        pad = MeasurementEngine._BATCH_PAD
+        pad = self._PAD
         self._raw_rsrp = np.full((g, need_n), pad)
         self._raw_rsrq = np.full((g, need_n), pad)
         self._prev_rsrp = np.zeros((g, need_n))
@@ -722,7 +638,7 @@ class BatchMeasurementState:
         """
         profile = self.profile
         t0 = perf_counter() if profile is not None else 0.0
-        pad = MeasurementEngine._BATCH_PAD
+        pad = self._PAD
         need_n = max(len(snap.prepared.cells) for snap in snaps)
         if need_n > self.max_n:
             self._grow(need_n)

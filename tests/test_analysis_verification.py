@@ -1,4 +1,8 @@
-"""Tests for the configuration verification toolkit."""
+"""Configuration verification (paper Section 6) through ``repro.lint``.
+
+The paper's automated verification tool is the lint rule engine; these
+cases audit hand-built snapshots with the rules each finding belongs to.
+"""
 
 import pytest
 
@@ -9,14 +13,10 @@ from repro.config.lte import (
     MeasurementConfig,
     ServingCellConfig,
 )
-from repro.core.analysis.verification import (
-    audit_snapshot,
-    audit_snapshots,
-    detect_priority_conflicts,
-    detect_priority_loops,
-    summarize,
-)
 from repro.core.crawler import CellConfigSnapshot
+from repro.lint.engine import lint_snapshots
+from repro.lint.findings import summarize
+from repro.lint.rules import all_rules
 
 
 def _snapshot(gci=1, channel=850, serving=None, layers=(), meas=None):
@@ -37,15 +37,15 @@ def test_clean_snapshot_minimal_findings():
             thresh_serving_low_p=6.0,
         )
     )
-    findings = audit_snapshot(snapshot)
-    assert findings == []
+    cell_codes = [r.code for r in all_rules() if r.scope == "cell"]
+    assert lint_snapshots([snapshot], codes=cell_codes).findings == []
 
 
 def test_negative_a3_offset_flagged():
     meas = MeasurementConfig(events=(
         EventConfig(event=EventType.A3, offset=-1.0, hysteresis=1.0),
     ))
-    findings = audit_snapshot(_snapshot(meas=meas))
+    findings = lint_snapshots([_snapshot(meas=meas)], codes=["HC002"]).findings
     flagged = [f for f in findings if f.code == "HC002"]
     assert flagged and flagged[0].name == "a3-negative-offset"
 
@@ -54,7 +54,7 @@ def test_a5_no_serving_requirement_flagged():
     meas = MeasurementConfig(events=(
         EventConfig(event=EventType.A5, threshold1=-44.0, threshold2=-114.0),
     ))
-    findings = audit_snapshot(_snapshot(meas=meas))
+    findings = lint_snapshots([_snapshot(meas=meas)], codes=["HC003", "HC004"]).findings
     codes = {f.code for f in findings}
     assert "HC003" in codes
     assert "HC004" in codes
@@ -67,7 +67,7 @@ def test_premature_measurement_flagged():
             thresh_serving_low_p=6.0,
         )
     )
-    findings = audit_snapshot(snapshot)
+    findings = lint_snapshots([snapshot], codes=["HC006"]).findings
     assert any(f.code == "HC006" for f in findings)
 
 
@@ -78,7 +78,7 @@ def test_late_nonintra_flagged():
             thresh_serving_low_p=6.0,
         )
     )
-    findings = audit_snapshot(snapshot)
+    findings = lint_snapshots([snapshot], codes=["HC007"]).findings
     assert any(f.code == "HC007" for f in findings)
 
 
@@ -89,7 +89,7 @@ def test_nonintra_above_intra_is_problem():
             thresh_serving_low_p=6.0,
         )
     )
-    findings = audit_snapshot(snapshot)
+    findings = lint_snapshots([snapshot], codes=["HC005"]).findings
     problem = [f for f in findings if f.code == "HC005"]
     assert problem and problem[0].severity == "problem"
 
@@ -101,7 +101,7 @@ def test_priority_conflict_detection():
         _snapshot(gci=2, channel=850,
                   serving=ServingCellConfig(cell_reselection_priority=4)),
     ]
-    findings = detect_priority_conflicts(snapshots)
+    findings = lint_snapshots(snapshots, codes=["HC101"]).findings
     assert len(findings) == 1
     assert findings[0].code == "HC101"
 
@@ -122,7 +122,7 @@ def test_priority_loop_detection():
                                          cell_reselection_priority=5)],
         ),
     ]
-    findings = detect_priority_loops(snapshots)
+    findings = lint_snapshots(snapshots, codes=["HC103"]).findings
     assert any(f.code == "HC103" for f in findings)
     assert findings[0].severity == "problem"
 
@@ -142,15 +142,15 @@ def test_no_loop_with_consistent_priorities():
                                          cell_reselection_priority=3)],
         ),
     ]
-    assert detect_priority_loops(snapshots) == []
+    assert lint_snapshots(snapshots, codes=["HC103"]).findings == []
 
 
 def test_summarize_counts():
     meas = MeasurementConfig(events=(
         EventConfig(event=EventType.A3, offset=-1.0, hysteresis=1.0),
     ))
-    findings = audit_snapshots([_snapshot(meas=meas), _snapshot(gci=2, meas=meas)])
-    summary = summarize(findings)
+    snapshots = [_snapshot(meas=meas), _snapshot(gci=2, meas=meas)]
+    summary = summarize(lint_snapshots(snapshots, codes=["HC002"]).findings)
     assert summary["HC002"] == 2
 
 
@@ -170,6 +170,6 @@ def test_audit_real_population(tiny_d2, server):
             writer.write(0, message)
         writer.write(0, tiny_d2.server.connection_reconfiguration(cell))
     snapshots = ConfigCrawler.crawl(writer.getvalue())
-    findings = audit_snapshots(snapshots)
+    findings = lint_snapshots(snapshots, codes=["HC006"]).findings
     codes = {f.code for f in findings}
     assert "HC006" in codes

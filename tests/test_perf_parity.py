@@ -14,7 +14,11 @@ import numpy as np
 import pytest
 
 from repro.cellnet.world import RadioEnvironment
-from repro.simulate.runner import DriveSimulator
+from repro.simulate.fleet import FleetOptions, FleetSimulator
+from repro.simulate.mobility import parked_position
+from repro.simulate.runner import DriveSimulator, TickSample
+from repro.simulate.scenarios import ScenarioSpec
+from repro.simulate.throughput import ThroughputModel
 from repro.simulate.traffic import NoTraffic, Speedtest
 from repro.ue.measurement import MeasurementEngine, default_vectorized
 
@@ -55,6 +59,54 @@ def test_runner_reuses_ue_snapshot(scenario, monkeypatch):
     monkeypatch.setattr(RadioEnvironment, "snapshot", counting)
     result = _drive(scenario, True, Speedtest(), duration_s=60.0)
     assert calls["n"] == len(result.samples)
+
+
+@pytest.mark.parametrize("parked", [False, True], ids=["moving", "parked"])
+def test_lane_memos_match_unmemoized_recomputation(scenario, parked):
+    """The lane's ground-truth and capacity memos change no sample: every
+    tick recomputed from scratch at the trajectory position, for the
+    sample's serving cell, gives the same sample bit for bit."""
+    seed, tick_ms = 3, 200
+    if parked:
+        trajectory = parked_position(scenario.cities[0].origin, duration_s=120.0)
+    else:
+        trajectory = scenario.urban_trajectory(np.random.default_rng(99), duration_s=240.0)
+    result = DriveSimulator(
+        scenario.env, scenario.server, "A", seed=seed, tick_ms=tick_ms, config_lint=False,
+    ).run(trajectory, Speedtest())
+    throughput = ThroughputModel(rng=np.random.default_rng((seed, 0, 0x7A)))
+    radius_m = MeasurementEngine(scenario.env, np.random.default_rng(0)).radius_m
+    recomputed = []
+    for sample in result.samples:
+        cell = scenario.env.get_cell(sample.serving)
+        snap = scenario.env.snapshot(trajectory.position(sample.t_ms), "A", radius_m=radius_m)
+        if cell in snap:
+            measurement = snap.measure(cell)
+            rsrp, sinr = measurement.rsrp_dbm, measurement.sinr_db
+        else:
+            rsrp, sinr = -140.0, -20.0
+        capacity = 0.0 if sample.interrupted else throughput.capacity_bps(cell, sinr, sample.t_ms)
+        delivered = Speedtest().delivered_bits(capacity, tick_ms, sample.t_ms)
+        recomputed.append(TickSample(
+            t_ms=sample.t_ms, serving=sample.serving, rsrp_dbm=rsrp, sinr_db=sinr,
+            capacity_bps=capacity, delivered_bps=delivered * 1000.0 / tick_ms,
+            interrupted=sample.interrupted,
+        ))
+    assert len(result.handoffs) >= (0 if parked else 2)
+    assert result.samples == recomputed
+
+
+def test_fleet_occupancy_counts_sample_serving_cells():
+    """The lanes' occupancy run-lengths equal a plain count of samples."""
+    options = FleetOptions(
+        scenario=ScenarioSpec(name="lafayette", seed=7, config_seed=2018),
+        n_ues=8, duration_s=60.0, keep_samples=True,
+    )
+    for ue in FleetSimulator(options.scenario.build(), options).simulate():
+        counts: dict[str, int] = {}
+        for sample in ue.samples:
+            counts[str(sample.serving)] = counts.get(str(sample.serving), 0) + 1
+        assert ue.occupancy == dict(sorted(counts.items()))
 
 
 def test_engine_snapshot_memoized(scenario):

@@ -1,8 +1,16 @@
 """Property-based tests for event semantics and reselection invariants."""
 
+import numpy as np
 from hypothesis import given, strategies as st
 
-from repro.config.events import EventConfig, EventType, evaluate_entry, evaluate_leave
+from repro.config.events import (
+    EventColumns,
+    EventConfig,
+    EventType,
+    entry_mask,
+    evaluate_entry,
+    evaluate_leave,
+)
 from repro.core.analysis.diversity import simpson_index
 
 _rsrp = st.floats(min_value=-140.0, max_value=-44.0)
@@ -55,6 +63,54 @@ def test_a3_entry_monotone_in_serving(serving, neighbor, offset, boost):
     config = EventConfig(event=EventType.A3, offset=offset, hysteresis=1.0)
     if not evaluate_entry(config, serving, neighbor):
         assert not evaluate_entry(config, serving + boost, neighbor)
+
+
+#: Half-dB grid values: sums and differences of them are exact doubles,
+#: so draws land on the strict ``>``/``<`` boundaries often.
+_grid = st.sampled_from([x / 2 for x in range(-202, -186)])
+_value = st.one_of(_grid, _rsrp)
+_ENTRY_EVENTS = [
+    EventType.A1, EventType.A2, EventType.A3, EventType.A4,
+    EventType.A5, EventType.A6, EventType.B1, EventType.B2,
+]
+
+
+@st.composite
+def _members(draw):
+    """One event type armed by m members, each with its own parameters."""
+    event = draw(st.sampled_from(_ENTRY_EVENTS))
+    m = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=5))
+    configs = [
+        EventConfig(
+            event=event, threshold1=draw(_value), threshold2=draw(_value),
+            offset=draw(st.one_of(_offset, st.sampled_from([-1.5, 0.5, 2.5]))),
+            hysteresis=draw(_hys),
+        )
+        for _ in range(m)
+    ]
+    serving = np.array([draw(_value) for _ in range(m)])
+    neighbors = np.array([[draw(_value) for _ in range(n)] for _ in range(m)])
+    return event, configs, serving, neighbors
+
+
+@given(_members())
+def test_entry_mask_columns_match_scalar_and_evaluator(drawn):
+    """Row k of the per-member-column call is member k's scalar call,
+    and both equal :func:`evaluate_entry` element by element."""
+    event, configs, serving, neighbors = drawn
+    params = np.array(
+        [[c.hysteresis, c.threshold1, c.threshold2, c.offset] for c in configs]
+    )
+    columns = entry_mask(EventColumns.from_matrix(event, params), serving[:, None], neighbors)
+    for k, config in enumerate(configs):
+        s = float(serving[k])
+        scalar = np.atleast_1d(entry_mask(config, s, neighbors[k]))
+        if event.needs_neighbor:
+            expected = [evaluate_entry(config, s, float(v)) for v in neighbors[k]]
+        else:
+            expected = [evaluate_entry(config, s, None)]
+        assert columns[k].tolist() == scalar.tolist() == expected
 
 
 @given(values=st.lists(st.sampled_from([1, 2, 3, 4, 5]), max_size=200))

@@ -13,6 +13,8 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.analysis.instability import detect_instability
+from repro.datasets.records import HandoffInstance
 from repro.rrc.codec import encode_message
 from repro.rrc.messages import PhyServingMeas
 from repro.simulate.fleet import (
@@ -20,7 +22,6 @@ from repro.simulate.fleet import (
     FleetOptions,
     FleetSimulator,
     UEResult,
-    _phy_template,
     aggregate,
     count_ping_pongs,
     make_traffic,
@@ -29,7 +30,7 @@ from repro.simulate.fleet import (
     trajectory_for,
     ue_specs,
 )
-from repro.simulate.runner import DriveSimulator
+from repro.simulate.runner import DriveSimulator, _phy_template
 from repro.simulate.scenarios import ScenarioSpec
 from repro.ue.device import HandoffEvent
 from repro.ue.measurement import MeasurementEngine
@@ -184,8 +185,22 @@ def test_count_ping_pongs_window():
         _handoff(5_000, "2", "1"),  # A->B->A within 10 s: counts
         _handoff(40_000, "1", "3"),
         _handoff(55_000, "3", "1"),  # 15 s apart: outside the window
+        _handoff(70_000, "1", "4"),
+        _handoff(80_000, "4", "1"),  # exactly 10 s apart: the window is inclusive
     ]
-    assert count_ping_pongs(events) == 1
+    assert count_ping_pongs((h.source, h.target, h.time_ms) for h in events) == 2
+    # Both consumers count through it: the fleet's per-UE row and the
+    # trace-level instability analysis of the same sequence.
+    instances = [
+        HandoffInstance(
+            kind="active", carrier="A", time_ms=h.time_ms, source_gci=h.source.gci,
+            target_gci=h.target.gci, source_channel=850, target_channel=850,
+            intra_freq=True, decisive_event="A3",
+        )
+        for h in events
+    ]
+    assert _ue(0, 400, events).summary_row()["ping_pongs"] == 2
+    assert detect_instability(instances).n_ping_pongs == 2
 
 
 def test_aggregate_rates():
