@@ -28,6 +28,8 @@ datasets reproducible and the temporal analysis meaningful.
 
 from __future__ import annotations
 
+import functools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,12 +77,34 @@ class ConfigContext:
     cdma_bands: tuple[int, ...] = ()
 
 
+@functools.lru_cache(maxsize=1024)
+def _cdf(weights: tuple[float, ...]) -> tuple[float, ...]:
+    """The CDF ``Generator.choice`` searches for these weights.
+
+    Computed with choice's own ops on the same normalized ``p``
+    (``cumsum``, then ``cdf /= cdf[-1]``).  A throwaway generator runs
+    choice once first, so a NaN, negative, all-zero or empty table
+    raises the ``ValueError`` choice raises.
+    """
+    p = np.array(weights, dtype=float)
+    p /= p.sum()
+    np.random.default_rng(0).choice(len(p), p=p)
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return tuple(cdf.tolist())
+
+
 def _draw(rng: np.random.Generator, table: dict) -> object:
-    """Weighted draw from a {value: weight} table (deterministic order)."""
-    values = list(table.keys())
-    weights = np.array([table[v] for v in values], dtype=float)
-    weights /= weights.sum()
-    return values[int(rng.choice(len(values), p=weights))]
+    """Weighted draw from a {value: weight} table (deterministic order).
+
+    Stream-identical to ``values[rng.choice(len(values), p=weights)]``:
+    choice's single-sample path draws one ``rng.random()`` double and
+    takes ``searchsorted(side="right")`` in the CDF, which is
+    ``bisect_right`` here.  The CDF is cached by the weight sequence
+    alone and the value is read from ``table`` itself, so tables whose
+    keys compare equal across types (``1`` and ``1.0``) cannot mix.
+    """
+    return list(table)[bisect_right(_cdf(tuple(table.values())), rng.random())]
 
 
 @dataclass(frozen=True)
@@ -272,6 +296,10 @@ class CarrierProfile:
         self.acronym = acronym
         self.seed = seed
         self.style = _style_for(acronym)
+        # Seed-pure memos of priority_for_channel (cell mode: per-channel
+        # base priority and city sensitivity; grid mode: per-city value).
+        self._channel_priority: dict[int, tuple[int, bool]] = {}
+        self._city_priority: dict[str, int] = {}
 
     # -- deterministic RNG plumbing -------------------------------------
 
@@ -303,20 +331,36 @@ class CarrierProfile:
         settings Section 5.4.1 troubleshoots.  Chicago gets a shifted
         map (Fig. 20: C1 differs from other cities).
         """
-        base_rng = np.random.default_rng(
-            (self.seed, stable_hash(self.acronym) & 0xFFFF, channel, 0xBEEF)
-        )
         if self.style.diversity == "none":
             return 5
         if self.style.spatial_mode == "grid":
             # Grid-granularity carriers (T-Mobile's habit) use one
             # priority per city across all their LTE layers — the reason
             # their proximity diversity is ~zero in Fig. 21.
-            city_rng = np.random.default_rng(
-                (self.seed, stable_hash(self.acronym) & 0xFFFF,
-                 stable_hash(city) & 0xFFFF, 0xC17)
-            )
-            return int(city_rng.integers(3, 6))
+            if city not in self._city_priority:
+                city_rng = np.random.default_rng(
+                    (self.seed, stable_hash(self.acronym) & 0xFFFF,
+                     stable_hash(city) & 0xFFFF, 0xC17)
+                )
+                self._city_priority[city] = int(city_rng.integers(3, 6))
+            return self._city_priority[city]
+        if channel not in self._channel_priority:
+            self._channel_priority[channel] = self._channel_base_priority(channel)
+        base, city_sensitive = self._channel_priority[channel]
+        if city == "Chicago" and self.style.diversity == "high" and city_sensitive:
+            base = min(7, base + 1)
+        if rng.random() < self.style.priority_conflict_rate:
+            alt = base - 1 if base >= 3 else base + 1
+            return alt
+        return base
+
+    def _channel_base_priority(self, channel: int) -> tuple[int, bool]:
+        """Seed-pure part of :meth:`priority_for_channel` in cell mode:
+        the channel's national priority and whether its market areas may
+        shift it."""
+        base_rng = np.random.default_rng(
+            (self.seed, stable_hash(self.acronym) & 0xFFFF, channel, 0xBEEF)
+        )
         try:
             from repro.cellnet.bands import earfcn_to_band
 
@@ -336,13 +380,7 @@ class CarrierProfile:
         # A subset of channels is configured differently per market area
         # (Fig. 20: Chicago differs); most channels stay nationally
         # uniform, keeping Fig. 18's mostly-single-valued breakdown.
-        city_sensitive = base_rng.random() < 0.1
-        if city == "Chicago" and self.style.diversity == "high" and city_sensitive:
-            base = min(7, base + 1)
-        if rng.random() < self.style.priority_conflict_rate:
-            alt = base - 1 if base >= 3 else base + 1
-            return alt
-        return base
+        return base, base_rng.random() < 0.1
 
     # -- active-state (measConfig) ----------------------------------------
 
@@ -555,7 +593,7 @@ class CarrierProfile:
     def observed_lte_config(
         self,
         cell: Cell,
-        context: ConfigContext,
+        base: LteCellConfig,
         obs_rng: np.random.Generator,
         days_since_first: float = 0.0,
     ) -> LteCellConfig:
@@ -564,9 +602,10 @@ class CarrierProfile:
         Models the paper's temporal dynamics: idle-state SIB parameters
         change rarely (probability scaled from ``idle_churn_180d`` by the
         elapsed time), while measConfig content varies observation to
-        observation with ``active_churn``.
+        observation with ``active_churn``.  ``base`` is the cell's
+        :meth:`lte_config`, which a
+        :class:`~repro.rrc.broadcast.ConfigServer` already caches.
         """
-        base = self.lte_config(cell, context)
         serving = base.serving
         # Idle-state churn is an *event on the cell's timeline*, not an
         # observation effect: version the configuration per 90-day epoch
@@ -707,7 +746,8 @@ _PROFILE_CACHE: dict[tuple[str, int], CarrierProfile] = {}
 
 
 def profile_for_carrier(acronym: str, seed: int = 2018) -> CarrierProfile:
-    """Cached profile accessor (profiles are stateless, sharing is safe)."""
+    """Cached profile accessor (profiles memoize only seed-pure values, so
+    sharing is safe)."""
     key = (acronym, seed)
     if key not in _PROFILE_CACHE:
         _PROFILE_CACHE[key] = CarrierProfile(acronym, seed=seed)

@@ -88,7 +88,7 @@ class ConfigServer:
         """One observation of an LTE cell's configuration (may churn)."""
         profile = profile_for_carrier(cell.carrier, seed=self.seed)
         return profile.observed_lte_config(
-            cell, self.context_for(cell), obs_rng, days_since_first=days_since_first
+            cell, self.lte_config(cell), obs_rng, days_since_first=days_since_first
         )
 
     def sib_messages(

@@ -81,22 +81,45 @@ def test_co_channel_interferers_same_channel_only(env, scenario):
         assert interferer.cell_id != cell.cell_id
 
 
+def _brute_near(env, location, radius, carrier=None, rat=None):
+    return sorted(
+        (
+            c
+            for c in env.registry
+            if c.location.distance_to(location) <= radius
+            and (carrier is None or c.carrier == carrier)
+            and (rat is None or c.rat is rat)
+        ),
+        key=lambda c: c.cell_id,
+    )
+
+
+def _query_points(scenario, n, seed=11):
+    rng = np.random.default_rng(seed)
+    cells = scenario.plan.registry.all_cells()
+    points = []
+    for _ in range(n):
+        anchor = cells[int(rng.integers(len(cells)))].location
+        points.append(anchor.offset(*rng.uniform(-2500.0, 2500.0, size=2)))
+    return points
+
+
 def test_co_channel_interferers_match_bruteforce(env, scenario):
-    """The spatial-index route returns exactly the brute-force set."""
+    """co_channel_interferers uses the same index as cells_near and
+    returns exactly the brute-force same-RAT, same-channel set."""
     origin = scenario.cities[0].origin
-    for cell in env.cells_near(origin, carrier="A")[:5]:
-        expected = sorted(
-            (
-                c
-                for c in env.registry
-                if c.rat is cell.rat
-                and c.channel == cell.channel
-                and c.cell_id != cell.cell_id
-                and c.location.distance_to(origin) <= env.audible_radius_m
-            ),
-            key=lambda c: c.cell_id,
-        )
-        assert env.co_channel_interferers(cell, origin) == expected
+    queries = [(origin, cell) for cell in env.cells_near(origin, carrier="A")[:5]]
+    for location in _query_points(scenario, 12, seed=3):
+        queries += [(location, cell) for cell in env.cells_near(location, radius_m=2000.0)[::7]]
+    for location, cell in queries:
+        expected = [
+            c
+            for c in _brute_near(env, location, env.audible_radius_m)
+            if c.rat is cell.rat
+            and c.channel == cell.channel
+            and c.cell_id != cell.cell_id
+        ]
+        assert env.co_channel_interferers(cell, location) == expected
 
 
 def _fresh_env(scenario, cache_size):
@@ -149,3 +172,37 @@ def test_snapshot_cache_hit_reuses_prepared(scenario):
 def test_get_cell_roundtrip(env, scenario):
     cell = next(iter(scenario.plan.registry))
     assert env.get_cell(cell.cell_id) is cell
+
+
+def test_cells_near_matches_bruteforce_scan(env, scenario):
+    """The cell index returns exactly a distance_to scan of the
+    registry, in cell_id order, with and without filters; an unknown
+    carrier gets no cells."""
+    carriers = sorted({c.carrier for c in env.registry})
+    radii = (1500.0, 2750.0, 4000.0, 6000.0)
+    for i, location in enumerate(_query_points(scenario, 24)):
+        radius = radii[i % len(radii)]
+        for carrier in [None, *carriers, "no-such-carrier"]:
+            for rat in (None, RAT.LTE, RAT.UMTS):
+                assert env.cells_near(
+                    location, carrier=carrier, rat=rat, radius_m=radius
+                ) == _brute_near(env, location, radius, carrier, rat)
+
+
+def test_cells_near_radius_edge_is_inclusive(env, scenario):
+    """A radius set exactly to a cell's distance keeps that cell (the
+    ``<=`` edge), one ulp less drops it, and membership still equals
+    the brute-force scan."""
+    for location in _query_points(scenario, 8, seed=5):
+        for k, cell in enumerate(_brute_near(env, location, env.audible_radius_m)):
+            radius = cell.location.distance_to(location)
+            near = env.cells_near(location, carrier=cell.carrier, radius_m=radius)
+            assert cell in near
+            below = float(np.nextafter(radius, 0.0))
+            assert cell not in env.cells_near(location, carrier=cell.carrier, radius_m=below)
+            if k % 25 == 0:
+                assert near == _brute_near(env, location, radius, cell.carrier)
+                assert env.cells_near(location, radius_m=radius) == _brute_near(
+                    env, location, radius
+                )
+

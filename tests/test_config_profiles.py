@@ -11,6 +11,7 @@ from repro.cellnet.rat import RAT
 from repro.config.events import EventType
 from repro.config.profiles import (
     CARRIER_STYLES,
+    CarrierProfile,
     ConfigContext,
     profile_for_carrier,
 )
@@ -194,10 +195,38 @@ def test_observed_config_active_churn():
 def test_observed_idle_config_stable_within_epoch():
     profile = profile_for_carrier("A")
     cell = _cell(42)
+    base = profile.lte_config(cell, CTX)
     rng = np.random.default_rng(3)
-    a = profile.observed_lte_config(cell, CTX, rng, days_since_first=10.0)
-    b = profile.observed_lte_config(cell, CTX, rng, days_since_first=60.0)
+    a = profile.observed_lte_config(cell, base, rng, days_since_first=10.0)
+    b = profile.observed_lte_config(cell, base, rng, days_since_first=60.0)
     assert a.serving == b.serving  # same 90-day epoch
+
+
+def test_observed_config_across_idle_churn_epochs(server):
+    """Observations built on the server's cached base equal a fresh
+    profile's regeneration in every epoch, and the idle config changes
+    only from the flip epoch on."""
+    days = (0.0, 89.0, 90.0, 400.0)
+
+    def observe(cell, day):
+        return server.observed_lte_config(
+            cell, np.random.default_rng(11), days_since_first=day
+        )
+
+    lte_cells = [c for c in server.env.registry.all_cells() if c.rat is RAT.LTE]
+    # A cell whose idle config flips in epoch 1 (days 90-179).
+    cell = next(c for c in lte_cells if observe(c, 89.0).serving != observe(c, 90.0).serving)
+    fresh = CarrierProfile(cell.carrier, seed=server.seed)
+    fresh_base = fresh.lte_config(cell, server.context_for(cell))
+    observed = {day: observe(cell, day) for day in days}
+    for day in days:
+        assert observed[day] == fresh.observed_lte_config(
+            cell, fresh_base, np.random.default_rng(11), days_since_first=day
+        )
+    base = server.lte_config(cell).serving
+    assert observed[0.0].serving == observed[89.0].serving == base
+    assert observed[90.0].serving != base
+    assert observed[400.0].serving != base
 
 
 def test_legacy_dispatch():
