@@ -141,16 +141,6 @@ class ShadowingField:
         phase = np.stack([self._coeffs(c)[2] for c in cells])
         return kx, ky, phase
 
-    def sample_many(self, cells: list[Cell], location: Point) -> np.ndarray:
-        """Vectorized shadowing for many cells at one location."""
-        if self.sigma_db == 0:
-            return np.zeros(len(cells))
-        if not cells:
-            return np.zeros(0)
-        kx, ky, phase = self.stacked_coeffs(cells)
-        values = np.cos(kx * location.x + ky * location.y + phase).sum(axis=1)
-        return values * self.sigma_db * math.sqrt(2.0 / self.n_components)
-
 
 class RadioModel:
     """Computes received signal metrics for cells at locations."""

@@ -211,9 +211,12 @@ class RadioEnvironment:
         """The prepared audible-cell set covering ``location`` (LRU).
 
         Cached on a 200 m location grid: a moving UE re-queries nearly
-        identical neighborhoods tick after tick.  The extra 200 m guard
-        band keeps the cached list a superset of the exact query
-        anywhere inside the grid square.
+        identical neighborhoods tick after tick.  Each square's set is
+        ``cells_near`` of the *first* point queried in it, widened by a
+        200 m guard band.  Two points of one square can lie 283 m apart,
+        so the set is not always a superset of the exact query, and it
+        depends on which point came first: outputs depend on what warmed
+        the LRU (a ROADMAP open item).
         """
         key = (round(location.x / 200.0), round(location.y / 200.0), carrier, radius_m)
         cache = self._snapshot_cache

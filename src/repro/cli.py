@@ -20,8 +20,11 @@ a JSONL file, fanning work units over a process pool with
     python -m repro build-d2 --workers 4 --out d2.jsonl
     python -m repro build-d1 --workers 4 --scale 2 --out d1.jsonl
 
-Worker count changes wall-clock time only: the output file is
-byte-identical for any ``--workers`` value.
+Worker count changes only wall-clock time for ``build-d2``: its output
+file is byte-identical for any ``--workers`` value.  ``build-d1`` and
+``fleet`` drives read a prepared-cell LRU that each worker process
+warms differently, so their outputs can differ between worker counts
+(a ROADMAP open item).
 
 ``lint`` audits deployed cell configurations statically (no
 simulation) with the :mod:`repro.lint` rule engine::
@@ -48,8 +51,8 @@ configuration change that made it appear::
 
 ``fleet`` simulates a whole population of UEs (parked phones, walkers,
 transit riders, drivers) over one city with batched physics, sharded
-over ``--workers`` processes; the JSON report is byte-identical for
-any worker count::
+over ``--workers`` processes; the JSON report keeps wall-clock time
+out, so two runs' reports can be ``cmp``-ed::
 
     python -m repro fleet --ues 500 --duration 600 --out fleet.json
     python -m repro fleet --ues 100 --workers 4 --traffic ping
@@ -497,7 +500,7 @@ def _run_build_d1(args: argparse.Namespace) -> int:
     import time
 
     from repro.datasets.d1 import D1Options, build_d1
-    from repro.experiments.common import default_workers
+    from repro.pipeline import default_workers
 
     options = D1Options(
         seed=args.seed,
@@ -530,7 +533,7 @@ def _run_build_d2(args: argparse.Namespace) -> int:
     import time
 
     from repro.datasets.d2 import D2Options, build_d2
-    from repro.experiments.common import default_workers
+    from repro.pipeline import default_workers
 
     options = D2Options(
         seed=args.seed,
@@ -557,9 +560,10 @@ def _run_fleet_sim(args: argparse.Namespace) -> int:
     """Simulate a multi-UE fleet and emit a deterministic JSON report.
 
     The report (options echo, fleet aggregates, one summary row per UE)
-    is byte-identical for any ``--workers`` value — wall-clock timing
-    and cache statistics go to stderr so the file can be ``cmp``-ed
-    across worker counts.
+    is deterministic — wall-clock timing and cache statistics go to
+    stderr so the file can be ``cmp``-ed.  Shards in cold worker
+    processes can still differ from a serial run (see
+    :mod:`repro.pipeline`).
     """
     import json
 

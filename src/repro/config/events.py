@@ -62,12 +62,6 @@ class EventType(enum.Enum):
         """Whether the entry condition involves a neighbor measurement."""
         return self not in (EventType.A1, EventType.A2, EventType.PERIODIC)
 
-    @property
-    def needs_serving(self) -> bool:
-        """Whether the entry condition involves the serving measurement."""
-        return self in (EventType.A1, EventType.A2, EventType.A3,
-                        EventType.A5, EventType.A6, EventType.B2)
-
 
 @dataclass(frozen=True)
 class EventConfig:

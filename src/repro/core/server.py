@@ -12,11 +12,10 @@ running the MMLab app, and MMLab servers that (1) push experimentation
   Type-II guided drive ("we run experiments around certain cells or
   routes with configurations of interest");
 * **execute** pending patches; every run's diag log lands in the
-  server's archive.  Execution goes through a
-  :mod:`repro.pipeline` backend: each queued patch becomes one
-  :class:`ServerPatchUnit`, so a process-pool backend runs
-  participants' patches concurrently while the archive keeps the exact
-  serial order;
+  server's archive.  Execution goes through :mod:`repro.pipeline`:
+  each queued patch becomes one :class:`ServerPatchUnit`, so a server
+  with ``workers > 1`` runs participants' patches concurrently while
+  the archive keeps the exact serial order;
 * **harvest** the archive into configuration samples and handoff
   instances, ready for the analysis toolkit.  The ``iter_*`` harvesters
   crawl log-by-log, so consumers can stream rows into a store without
@@ -36,7 +35,7 @@ from repro.core.crawler import crawl_config_samples
 from repro.core.handoffs import extract_handoff_instances
 from repro.core.scanner import proactive_scan
 from repro.datasets.records import ConfigSample, HandoffInstance
-from repro.pipeline import ExecutionBackend, SerialBackend, WorkUnit
+from repro.pipeline import WorkUnit, resolve_backend
 from repro.simulate.mobility import Trajectory
 from repro.simulate.runner import DriveSimulator
 from repro.simulate.scenarios import DriveScenario, ScenarioSpec
@@ -139,8 +138,8 @@ class ServerPatchUnit(WorkUnit):
     Spec-built scenarios (anything from :func:`drive_scenario`) cross
     process boundaries as their :class:`ScenarioSpec`; the live scenario
     object is dropped on pickling and rebuilt (process-cached) in the
-    worker.  Hand-assembled scenarios without a spec still run on any
-    in-process backend.
+    worker.  Hand-assembled scenarios without a spec only run on a
+    serial (``workers=1``) server.
     """
 
     def __init__(
@@ -174,7 +173,7 @@ class ServerPatchUnit(WorkUnit):
             if self.spec is None:
                 raise RuntimeError(
                     "ServerPatchUnit has neither a scenario nor a spec; "
-                    "scenarios without a ScenarioSpec only run on in-process backends"
+                    "scenarios without a ScenarioSpec only run with workers=1"
                 )
             scenario = self.spec.build()
         return execute_patch(
@@ -189,19 +188,14 @@ class MMLabServer:
         scenario: The world the participants live in.
         seed: Seeds every patch execution (combined with participant
             and patch ids).
-        backend: Default execution backend for ``run_pending`` /
-            ``run_all_pending`` (serial when omitted).
+        workers: Worker processes that execute pending patches
+            (1 = serial in-process).
     """
 
-    def __init__(
-        self,
-        scenario: DriveScenario,
-        seed: int = 0,
-        backend: ExecutionBackend | None = None,
-    ):
+    def __init__(self, scenario: DriveScenario, seed: int = 0, workers: int = 1):
         self.scenario = scenario
         self.seed = seed
-        self.backend = backend or SerialBackend()
+        self.workers = workers
         self._participants: dict[int, Participant] = {}
         self._next_participant = 0
         self._next_patch = 0
@@ -266,21 +260,17 @@ class MMLabServer:
                 )
         return units
 
-    def _execute(self, units: list[ServerPatchUnit], backend: ExecutionBackend | None) -> int:
-        runner = backend or self.backend
-        for log in runner.run(units):
-            self.archive.append(log)
+    def _execute(self, units: list[ServerPatchUnit]) -> int:
+        self.archive.extend(resolve_backend(self.workers).run(units))
         return len(units)
 
-    def run_pending(
-        self, participant_id: int, backend: ExecutionBackend | None = None
-    ) -> int:
+    def run_pending(self, participant_id: int) -> int:
         """Execute the participant's queued patches; returns run count."""
-        return self._execute(self._drain_units([participant_id]), backend)
+        return self._execute(self._drain_units([participant_id]))
 
-    def run_all_pending(self, backend: ExecutionBackend | None = None) -> int:
-        """Execute every participant's queue (one batch over the backend)."""
-        return self._execute(self._drain_units(sorted(self._participants)), backend)
+    def run_all_pending(self) -> int:
+        """Execute every participant's queue as one batch of units."""
+        return self._execute(self._drain_units(sorted(self._participants)))
 
     # -- harvesting ------------------------------------------------------------
 

@@ -14,10 +14,13 @@ derived figures are stable well below the paper's instance counts.
 
 Drives are independent runs (each seeds its own RNGs from the build
 seed and its drive index), so the build fans each drive out as one
-:class:`D1DriveUnit` on a :mod:`repro.pipeline` backend.  Each unit
+:class:`D1DriveUnit` over :mod:`repro.pipeline` workers.  Each unit
 extracts its own handoff instances in the worker — the harvest streams
-back as rows, not raw logs.  ``D1Options.workers`` picks the backend;
-the result is bit-identical at any worker count.
+back as rows, not raw logs.  ``D1Options.workers`` says where the
+drives run.  A drive's output still depends on which earlier drives
+warmed its process's prepared-cell LRU
+(:meth:`~repro.cellnet.world.RadioEnvironment.prepared_for`), so a pool
+of cold workers can differ from a serial build; see ROADMAP.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from repro.core.mmlab import MMLab
 from repro.datasets.records import HandoffInstance
 from repro.datasets.store import HandoffInstanceStore
-from repro.pipeline import ExecutionBackend, WorkUnit, process_cached, resolve_backend
+from repro.pipeline import WorkUnit, process_cached, resolve_backend
 from repro.simulate.runner import DriveResult, DriveSimulator
 from repro.simulate.scenarios import DriveScenario, drive_scenario
 from repro.simulate.traffic import ConstantRate, NoTraffic, Ping, Speedtest, TrafficModel
@@ -55,7 +58,6 @@ class D1Options:
             corridor out of the city, as in the paper's between-city
             drives.  0 disables the corridor deployment entirely.
         workers: Worker processes for the build (1 = serial in-process).
-            Any worker count produces bit-identical stores.
     """
 
     seed: int = 7
@@ -211,23 +213,17 @@ def d1_work_units(options: D1Options, scenario: DriveScenario) -> list[D1DriveUn
     return units
 
 
-def build_d1(
-    options: D1Options = D1Options(), backend: ExecutionBackend | None = None
-) -> D1Build:
+def build_d1(options: D1Options = D1Options()) -> D1Build:
     """Build dataset D1 end-to-end through the device-side pipeline.
 
-    Args:
-        options: Build options; ``options.workers`` picks the default
-            backend (serial at 1, a process pool above).
-        backend: Explicit :class:`~repro.pipeline.ExecutionBackend`,
-            overriding ``options.workers``.
+    ``options.workers`` says where the drives run: in-process at 1, a
+    process pool above.
     """
     scenario = d1_scenario(options)
     store = HandoffInstanceStore()
     build = D1Build(store=store, scenario=scenario)
     units = d1_work_units(options, scenario)
-    runner = resolve_backend(options.workers, backend)
-    for result in runner.run(units):
+    for result in resolve_backend(options.workers).run(units):
         build.drives.append(result.drive)
         store.extend(result.instances)
     return build

@@ -22,11 +22,12 @@ churn the Fig. 13 analysis measures.
 
 Sessions are independent of each other (different volunteers never
 share state, and a volunteer's rounds are separately seeded), so the
-build fans each session out as one :class:`D2SessionUnit` on a
-:mod:`repro.pipeline` backend.  Each unit collects *and crawls* its own
+build fans each session out as one :class:`D2SessionUnit` over
+:mod:`repro.pipeline` workers.  Each unit collects *and crawls* its own
 log, streaming back ``ConfigSample`` rows instead of raw log bytes —
 the archive of binary logs is never materialized.  ``D2Options.workers``
-picks the backend; the result is bit-identical at any worker count.
+says where the sessions run; sessions take no radio snapshots, so the
+result is bit-identical at any worker count.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from repro.core.crawler import crawl_config_samples
 from repro.datasets.records import ConfigSample
 from repro.datasets.store import ConfigSampleStore
 from repro.datasets.volunteers import Volunteer, volunteer_population
-from repro.pipeline import ExecutionBackend, WorkUnit, process_cached, resolve_backend
+from repro.pipeline import WorkUnit, process_cached, resolve_backend
 from repro.rrc.broadcast import ConfigServer
 from repro.rrc.diag import DiagWriter
 
@@ -64,7 +65,6 @@ class D2Options:
     include_dense: bool = True
     coverage_radius_m: float = 1100.0
     cells_per_stop: int = 10
-    dense_grid_m: float = 850.0
     #: Probability that an observed cell's measConfig gets logged
     #: (the phone had background traffic at that stop).
     active_observation_rate: float = 0.5
@@ -282,16 +282,11 @@ def d2_work_units(options: D2Options) -> list[D2SessionUnit]:
     return units
 
 
-def build_d2(
-    options: D2Options = D2Options(), backend: ExecutionBackend | None = None
-) -> D2Build:
+def build_d2(options: D2Options = D2Options()) -> D2Build:
     """Build dataset D2 end-to-end through the device-side pipeline.
 
-    Args:
-        options: Build options; ``options.workers`` picks the default
-            backend (serial at 1, a process pool above).
-        backend: Explicit :class:`~repro.pipeline.ExecutionBackend`,
-            overriding ``options.workers``.
+    ``options.workers`` says where the sessions run: in-process at 1, a
+    process pool above.
     """
     context = d2_context(options)
     store = ConfigSampleStore()
@@ -299,8 +294,7 @@ def build_d2(
         store=store, plan=context.plan, env=context.env, server=context.server
     )
     units = d2_work_units(options)
-    runner = resolve_backend(options.workers, backend)
-    for result in runner.run(units):
+    for result in resolve_backend(options.workers).run(units):
         build.n_sessions += 1
         build.n_logs_bytes += result.n_log_bytes
         store.extend(result.samples)

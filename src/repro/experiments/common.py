@@ -12,17 +12,18 @@ every driver and benchmark.  Scale knobs:
 
 Both default builds run on the work-unit pipeline; pass ``workers=N``
 (or set ``REPRO_WORKERS``) to fan sessions/drives out over a process
-pool.  Worker count never changes the datasets, only the build time.
+pool.  Worker count never changes D2; D1 drives can differ in a pool
+of cold workers (see :mod:`repro.pipeline`).
 """
 
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass, field, replace
 
 from repro.datasets.d1 import D1Build, D1Options, build_d1
 from repro.datasets.d2 import D2Build, D2Options, build_d2
+from repro.pipeline import default_workers
 from repro.simulate.scenarios import DriveScenario, drive_scenario
 
 
@@ -99,19 +100,10 @@ def paper_scale_d2_options() -> D2Options:
     )
 
 
-def default_workers() -> int:
-    """Default build parallelism: the ``REPRO_WORKERS`` env var, or 1."""
-    try:
-        return max(int(os.environ.get("REPRO_WORKERS", "1")), 1)
-    except ValueError:
-        return 1
-
-
 def default_d1(scale: float = 1.0, workers: int | None = None) -> D1Build:
     """The shared default D1 build (cached per process).
 
-    ``workers`` only changes build time, never the dataset (parallel
-    builds are bit-identical to serial ones).
+    ``workers`` defaults to ``REPRO_WORKERS`` (else 1).
     """
     return _default_d1_cached(scale, workers if workers is not None else default_workers())
 
@@ -123,7 +115,10 @@ def _default_d1_cached(scale: float, workers: int) -> D1Build:
 
 
 def default_d2(workers: int | None = None) -> D2Build:
-    """The shared default D2 build (cached per process)."""
+    """The shared default D2 build (cached per process).
+
+    ``workers`` defaults to ``REPRO_WORKERS`` (else 1).
+    """
     return _default_d2_cached(workers if workers is not None else default_workers())
 
 

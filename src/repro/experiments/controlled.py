@@ -18,6 +18,7 @@ from repro.config.lte import MeasurementConfig
 from repro.experiments.common import default_scenario
 from repro.rrc.broadcast import ConfigServer
 from repro.rrc.messages import RrcConnectionReconfiguration
+from repro.simulate.fleet import count_ping_pongs
 from repro.simulate.runner import DriveResult, DriveSimulator
 from repro.simulate.traffic import Speedtest
 
@@ -47,11 +48,7 @@ class DriveMetrics:
     @classmethod
     def from_result(cls, result: DriveResult) -> "DriveMetrics":
         handoffs = [h for h in result.handoffs if h.kind == "active"]
-        ping_pongs = sum(
-            1
-            for a, b in zip(handoffs, handoffs[1:])
-            if b.target == a.source and b.time_ms - a.time_ms < 10_000
-        )
+        ping_pongs = count_ping_pongs((h.source, h.target, h.time_ms) for h in handoffs)
         series = result.throughput_series(bin_ms=1000)
         minima = []
         last_t = 0

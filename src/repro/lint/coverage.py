@@ -71,7 +71,7 @@ from repro.lint.witness import (
     CoverageWitness,
     WITNESS_SPEED_MPS,
 )
-from repro.pipeline import ExecutionBackend, WorkUnit, resolve_backend
+from repro.pipeline import WorkUnit, run_cached
 
 #: Minimum width (dB) of an uncovered critical sub-band worth reporting;
 #: sub-dB slivers are measurement noise, not dead zones.
@@ -780,7 +780,7 @@ def analyze_cell(
 
 @dataclass(frozen=True)
 class CellCoverageUnit(WorkUnit):
-    """One cell analysis on a :mod:`repro.pipeline` backend."""
+    """One cell analysis as a :mod:`repro.pipeline` work unit."""
 
     unit_id: int
     snapshot: CellConfigSnapshot
@@ -788,11 +788,6 @@ class CellCoverageUnit(WorkUnit):
 
     def run(self) -> CellCoverageResult:
         return analyze_cell(self.snapshot, self.codes)
-
-
-#: Upper bound on cached per-cell results; a full default world holds a
-#: few thousand cells, so eviction only triggers on pathological churn.
-_CACHE_LIMIT = 16384
 
 
 class CoverageAnalyzer:
@@ -813,7 +808,6 @@ class CoverageAnalyzer:
         snapshots: Sequence[CellConfigSnapshot],
         codes: Sequence[str] | None = None,
         workers: int | None = None,
-        backend: ExecutionBackend | None = None,
     ) -> tuple[list[Finding], CoverageStats, dict[str, CoverageWitness]]:
         """Analyze an audit population.
 
@@ -824,40 +818,27 @@ class CoverageAnalyzer:
         order).
         """
         rule_codes = tuple(r.code for r in coverage_rules(codes))
-        digests = [snapshot_digest(s) for s in snapshots]
-        results: dict[str, CellCoverageResult] = {}
-        pending: list[CellCoverageUnit] = []
-        cached = 0
-        queued: set[str] = set()
-        for snapshot, digest in zip(snapshots, digests):
-            hit = self._cache.get((digest, rule_codes))
-            if hit is not None:
-                results[digest] = hit
-                cached += 1
-            elif digest not in queued:
-                queued.add(digest)
-                pending.append(CellCoverageUnit(
-                    unit_id=len(pending), snapshot=snapshot, codes=rule_codes
-                ))
-        runner = resolve_backend(workers, backend)
-        for result in runner.run(pending):
-            assert isinstance(result, CellCoverageResult)
-            if len(self._cache) >= _CACHE_LIMIT:
-                self._cache.clear()
-            self._cache[(result.digest, rule_codes)] = result
-            results[result.digest] = result
+        keys = [(snapshot_digest(s), rule_codes) for s in snapshots]
+        results, cached, analyzed = run_cached(
+            self._cache,
+            zip(keys, snapshots),
+            lambda unit_id, snapshot: CellCoverageUnit(
+                unit_id=unit_id, snapshot=snapshot, codes=rule_codes
+            ),
+            workers,
+        )
         findings: list[Finding] = []
         witnesses: dict[str, CoverageWitness] = {}
         regions = gaps = 0
-        for digest in digests:
-            result = results[digest]
+        for key in keys:
+            result = results[key]
             findings.extend(result.findings)
             witnesses.update(result.witnesses)
             regions += result.regions
             gaps += result.gaps
         stats = CoverageStats(
             cells=len(snapshots),
-            cells_analyzed=len(pending),
+            cells_analyzed=analyzed,
             cells_cached=cached,
             regions=regions,
             gaps=gaps,

@@ -38,7 +38,7 @@ from repro.lint.findings import (
 from repro.lint.graph import GraphAnalyzer, GraphStats, snapshot_digest
 from repro.lint.rules import RegisteredRule
 from repro.lint.snapshot import ConfigSnapshot
-from repro.pipeline import ExecutionBackend, WorkUnit, resolve_backend
+from repro.pipeline import WorkUnit, resolve_backend
 
 #: Change kinds the differ classifies into (stable, append-only like
 #: rule codes: reports and blame ids depend on them).
@@ -297,7 +297,7 @@ def diff_cell(
 
 @dataclass(frozen=True)
 class CellDiffUnit(WorkUnit):
-    """One cell-pair diff on a :mod:`repro.pipeline` backend."""
+    """One cell-pair diff as a :mod:`repro.pipeline` work unit."""
 
     unit_id: int
     old: CellConfigSnapshot
@@ -317,7 +317,6 @@ def diff_config_snapshots(
     old: ConfigSnapshot,
     new: ConfigSnapshot,
     workers: int | None = None,
-    backend: ExecutionBackend | None = None,
 ) -> tuple[ConfigChange, ...]:
     """Semantic changes between two captures, deterministically ordered.
 
@@ -349,8 +348,7 @@ def diff_config_snapshots(
         CellDiffUnit(unit_id=i, old=old_cells[key], new=new_cells[key])
         for i, key in enumerate(sorted(set(old_cells) & set(new_cells)))
     ]
-    runner = resolve_backend(workers, backend)
-    for result in runner.run(units):
+    for result in resolve_backend(workers).run(units):
         assert isinstance(result, tuple)
         changes.extend(result)
     return _sort_changes(changes)
@@ -510,7 +508,6 @@ def diff_lint(
     codes: list[str] | None = None,
     baseline: Baseline | None = None,
     workers: int | None = None,
-    backend: ExecutionBackend | None = None,
     graph_analyzer: GraphAnalyzer | None = None,
 ) -> DriftReport:
     """Differentially audit two captures; report what changed *and broke*.
@@ -537,7 +534,7 @@ def diff_lint(
         list(new.cells), rules=static_rules, graph=True,
         workers=workers, graph_analyzer=analyzer,
     )
-    changes = diff_config_snapshots(old, new, workers=workers, backend=backend)
+    changes = diff_config_snapshots(old, new, workers=workers)
     series = tuple(timeline) if timeline else (old, new)
     context = DriftContext(
         old=old,

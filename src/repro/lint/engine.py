@@ -7,9 +7,10 @@ Three entry layers, cheapest first:
   :class:`~repro.rrc.broadcast.ConfigServer` (no diag round trip, no
   simulation: this is the "audit millions of cell configs without
   running the simulator" path);
-* :func:`warn_before_run` — the simulation preflight hook; memoizes one
-  audit per world content-digest (and caches it per server for
-  warn-once semantics) and surfaces findings as a
+* :func:`warn_before_run` — the simulation preflight hook; caches one
+  audit per server (for warn-once semantics), shares it across servers
+  over the same world content-digest when their configurations come
+  from the seeded profiles, and surfaces findings as a
   :class:`ConfigLintWarning` so every drive knows what configuration
   problems it is driving through.
 
@@ -270,10 +271,11 @@ def lint_world(
     )
 
 
-#: Preflight audits cached per config server: {carrier: report}.  This
-#: layer exists for warn-once semantics — the warning fires once per
-#: (server, carrier), and repeated calls return the identical object.
-_PREFLIGHT_CACHE: "weakref.WeakKeyDictionary[ConfigServer, dict[str, LintReport]]" = (
+#: Preflight audits cached per config server: {(carrier, graph flag):
+#: report}.  This layer exists for warn-once semantics — the warning
+#: fires once per (server, carrier, graph flag), and repeated calls
+#: return the identical object.
+_PREFLIGHT_CACHE: "weakref.WeakKeyDictionary[ConfigServer, dict[tuple[str, bool], LintReport]]" = (
     weakref.WeakKeyDictionary()
 )
 
@@ -287,7 +289,9 @@ _WORLD_DIGESTS: "weakref.WeakKeyDictionary[RadioEnvironment, str]" = (
 #: over the same deployment and seed reuse the finished audit instead of
 #: re-running it, which is what keeps graph-enabled preflights free for
 #: fleets of drives.  Keys are (world digest, config seed, carrier,
-#: graph flag); the dict is bounded below.
+#: graph flag); the dict is bounded below.  The key covers only what
+#: :meth:`ConfigServer.lte_config` reads, so servers that override it
+#: never use this memo.
 _PREFLIGHT_REPORTS: dict[tuple[str, int, str, bool], LintReport] = {}
 
 #: Bound on the digest-keyed memo; preflights touch a handful of worlds
@@ -335,8 +339,10 @@ def warn_before_run(
     The finished report is memoized per world content-digest, so fleets
     of drives — even ones constructing a fresh :class:`ConfigServer`
     per drive — pay for the audit exactly once per deployment, and
-    enabling graph rules adds no per-run latency.  The warning itself
-    is emitted once per (server, carrier).
+    enabling graph rules adds no per-run latency.  A server whose class
+    overrides :meth:`~ConfigServer.lte_config` broadcasts configurations
+    the digest cannot see, so its audit is cached for that server only.
+    The warning itself is emitted once per (server, carrier, graph).
 
     Args:
         graph: Include the handoff-graph verifier in the preflight.
@@ -346,11 +352,13 @@ def warn_before_run(
     if graph is None:
         graph = os.environ.get("REPRO_LINT_GRAPH", "0") not in ("", "0")
     per_server = _PREFLIGHT_CACHE.setdefault(server, {})
-    cached = per_server.get(carrier)
+    cached = per_server.get((carrier, graph))
     if cached is not None:
         return cached
+    # The audit reads only ``server.lte_config`` and ``server.seed``.
+    profiled = type(server).lte_config is ConfigServer.lte_config
     memo_key = (world_digest(env, server.seed), server.seed, carrier, graph)
-    report = _PREFLIGHT_REPORTS.get(memo_key)
+    report = _PREFLIGHT_REPORTS.get(memo_key) if profiled else None
     if report is None:
         report = lint_world(
             env,
@@ -360,10 +368,11 @@ def warn_before_run(
             graph=graph,
             graph_analyzer=_PREFLIGHT_GRAPH_ANALYZER,
         )
-        if len(_PREFLIGHT_REPORTS) >= _PREFLIGHT_REPORTS_LIMIT:
-            _PREFLIGHT_REPORTS.clear()
-        _PREFLIGHT_REPORTS[memo_key] = report
-    per_server[carrier] = report
+        if profiled:
+            if len(_PREFLIGHT_REPORTS) >= _PREFLIGHT_REPORTS_LIMIT:
+                _PREFLIGHT_REPORTS.clear()
+            _PREFLIGHT_REPORTS[memo_key] = report
+    per_server[(carrier, graph)] = report
     if report.findings:
         severities = report.counts_by_severity()
         codes = ", ".join(sorted(report.counts_by_code()))

@@ -36,7 +36,7 @@ enumeration with interval-compatibility checking:
   over the priority subgraph.
 
 Analysis shards per (carrier, city, connected-component) through the
-:mod:`repro.pipeline` backends, and a :class:`GraphAnalyzer` caches
+:mod:`repro.pipeline` workers, and a :class:`GraphAnalyzer` caches
 per-component results keyed by a content digest over the member cells'
 configurations — re-auditing a world where one cell changed re-verifies
 only that cell's component.
@@ -71,7 +71,7 @@ from repro.lint.pingpong import (
     a5_serving_interval,
 )
 from repro.lint.rules import Issue, RegisteredRule, rule, select_rules
-from repro.pipeline import ExecutionBackend, WorkUnit, resolve_backend
+from repro.pipeline import WorkUnit, run_cached
 
 #: Longest simple cycle the enumerator checks.  The paper's observed
 #: loops span 2-4 cells; longer cycles exist combinatorially but add
@@ -848,7 +848,7 @@ def analyze_component(
 
 @dataclass(frozen=True)
 class GraphComponentUnit(WorkUnit):
-    """One component analysis on a :mod:`repro.pipeline` backend."""
+    """One component analysis as a :mod:`repro.pipeline` work unit."""
 
     unit_id: int
     component: ComponentGraph
@@ -856,12 +856,6 @@ class GraphComponentUnit(WorkUnit):
 
     def run(self) -> ComponentResult:
         return analyze_component(self.component, self.codes)
-
-
-#: Upper bound on cached component results; a full default world holds
-#: a few hundred components, so eviction only triggers on pathological
-#: churn (then the cache simply restarts cold).
-_CACHE_LIMIT = 4096
 
 
 class GraphAnalyzer:
@@ -883,7 +877,6 @@ class GraphAnalyzer:
         snapshots: Sequence[CellConfigSnapshot],
         codes: Sequence[str] | None = None,
         workers: int | None = None,
-        backend: ExecutionBackend | None = None,
     ) -> tuple[list[Finding], GraphStats]:
         """Verify an audit population; returns (findings, stats).
 
@@ -893,29 +886,18 @@ class GraphAnalyzer:
         """
         rule_codes = tuple(r.code for r in graph_rules(codes))
         components = build_components(snapshots)
-        results: dict[str, ComponentResult] = {}
-        pending: list[GraphComponentUnit] = []
-        cached = 0
-        for component in components:
-            hit = self._cache.get((component.digest, rule_codes))
-            if hit is not None:
-                results[component.digest] = hit
-                cached += 1
-            else:
-                pending.append(GraphComponentUnit(
-                    unit_id=len(pending), component=component, codes=rule_codes
-                ))
-        runner = resolve_backend(workers, backend)
-        for result in runner.run(pending):
-            assert isinstance(result, ComponentResult)
-            if len(self._cache) >= _CACHE_LIMIT:
-                self._cache.clear()
-            self._cache[(result.digest, rule_codes)] = result
-            results[result.digest] = result
+        results, cached, analyzed = run_cached(
+            self._cache,
+            (((c.digest, rule_codes), c) for c in components),
+            lambda unit_id, component: GraphComponentUnit(
+                unit_id=unit_id, component=component, codes=rule_codes
+            ),
+            workers,
+        )
         findings: list[Finding] = []
         edges = cycles = truncated = 0
         for component in components:
-            result = results[component.digest]
+            result = results[(component.digest, rule_codes)]
             findings.extend(result.findings)
             edges += result.n_edges
             cycles += result.cycles_checked
@@ -925,7 +907,7 @@ class GraphAnalyzer:
             layers=sum(len(c.layers) for c in components),
             edges=edges,
             components=len(components),
-            components_analyzed=len(pending),
+            components_analyzed=analyzed,
             components_cached=cached,
             cycles_checked=cycles,
             cycles_truncated=truncated,

@@ -42,7 +42,7 @@ from repro.cellnet.geo import Point
 from repro.cellnet.rat import RAT
 from repro.config.lte import LteCellConfig
 from repro.lint.snapshot import decode_value, encode_value
-from repro.pipeline import ExecutionBackend, WorkUnit, resolve_backend
+from repro.pipeline import WorkUnit, resolve_backend
 
 if TYPE_CHECKING:
     from repro.cellnet.world import RadioEnvironment
@@ -445,7 +445,7 @@ def corrected_twin(config: LteCellConfig, corrected: LteCellConfig) -> LteCellCo
 
 @dataclass(frozen=True)
 class WitnessReplayUnit(WorkUnit):
-    """One witness replay on a :mod:`repro.pipeline` backend."""
+    """One witness replay as a :mod:`repro.pipeline` work unit."""
 
     unit_id: int
     witness: CoverageWitness
@@ -458,20 +458,19 @@ class WitnessReplayUnit(WorkUnit):
 def replay_witnesses(
     witnesses: list[CoverageWitness],
     workers: int | None = None,
-    backend: ExecutionBackend | None = None,
     seed: int = 0,
 ) -> list[ReplayOutcome]:
     """Replay a batch of witnesses, sharded over pipeline workers.
 
     Outcomes come back in witness order regardless of worker count (the
-    backend's ordered merge), so batch verdicts are deterministic.
+    pipeline's ordered merge), so batch verdicts are deterministic.
     """
     units = [
         WitnessReplayUnit(unit_id=i, witness=w, seed=seed)
         for i, w in enumerate(witnesses)
     ]
     outcomes: list[ReplayOutcome] = []
-    for outcome in resolve_backend(workers, backend).run(units):
+    for outcome in resolve_backend(workers).run(units):
         assert isinstance(outcome, ReplayOutcome)
         outcomes.append(outcome)
     return outcomes

@@ -3,15 +3,15 @@
 A work unit must be *self-contained*: everything its :meth:`~WorkUnit.run`
 needs is either carried in the unit itself (options, ids, seeds) or
 rebuilt deterministically inside the executing process (typically via
-:func:`repro.pipeline.context.process_cached`).  Units that run on a
-process backend additionally have to be picklable, which in practice
+:func:`repro.pipeline.context.process_cached`).  Units that run with
+``workers > 1`` additionally have to be picklable, which in practice
 means frozen dataclasses of plain options — never live simulator
 objects.
 
 Units are *self-seeded*: any randomness is derived from data the unit
 carries (build seed + unit identity), never from shared mutable RNG
-state, so a unit's result does not depend on which worker runs it or
-in what order.
+state, so no unit's random draws depend on which worker runs it or in
+what order.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ class WorkUnit(ABC):
     Attributes:
         unit_id: Position of the unit in its build's canonical (serial)
             order.  Backends merge results back in ``unit_id`` order,
-            which is what makes parallel output bit-identical to serial
-            output.
+            so parallel output equals serial output whenever each
+            unit's result depends on the unit alone.
     """
 
     unit_id: int

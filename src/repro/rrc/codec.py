@@ -65,7 +65,8 @@ def _read_varint(buf: bytes, pos: int) -> tuple[int, int]:
             raise CodecError("varint too long")
 
 
-_PACK_DOUBLE = struct.Struct("<d").pack
+#: Wire form of a float value after its tag: little-endian IEEE 754.
+PACK_DOUBLE = struct.Struct("<d").pack
 
 
 def _encode_value(out: bytearray, value) -> None:
@@ -98,7 +99,7 @@ def _encode_value(out: bytearray, value) -> None:
             _write_varint(out, value)
     elif t is float:
         out.append(_TAG_FLOAT)
-        out.extend(_PACK_DOUBLE(value))
+        out.extend(PACK_DOUBLE(value))
     elif t is dict:
         out.append(_TAG_DICT)
         n = len(value)
@@ -250,12 +251,51 @@ def _encode_uncached(message: msg.Message) -> bytes:
 #: wire form around them is templated per (cell identity, state) and the
 #: floats are spliced in — byte-identical to the generic encoder, which
 #: remains the reference (and the template builder).
-_TAG_FLOAT_BYTE = bytes([_TAG_FLOAT])
 _phy_templates: dict[tuple, tuple[bytes, bytes, bytes]] = {}
 
 
+def phy_serving_template(
+    carrier: str, gci: int, channel: int, rat: str, sinr_db: float, rrc_connected: bool
+) -> tuple[bytes, bytes, bytes]:
+    """``(head, mid, tail)`` of a PhyServingMeas around its two metrics.
+
+    ``head + pack(rsrp_dbm) + mid + pack(rsrq_db) + tail`` is the
+    message's wire form, where ``pack`` is :data:`PACK_DOUBLE`.
+    """
+    key = (carrier, gci, channel, rat, sinr_db, rrc_connected)
+    parts = _phy_templates.get(key)
+    if parts is None:
+        head = bytearray()
+        _write_varint(head, msg.PhyServingMeas.TYPE_CODE)
+        head.append(_TAG_DICT)
+        head.append(8)  # to_payload() field count
+        for field, value in (
+            ("carrier", carrier),
+            ("gci", gci),
+            ("channel", channel),
+            ("rat", rat),
+        ):
+            _encode_value(head, field)
+            _encode_value(head, value)
+        _encode_value(head, "rsrp_dbm")
+        head.append(_TAG_FLOAT)
+        mid = bytearray()
+        _encode_value(mid, "rsrq_db")
+        mid.append(_TAG_FLOAT)
+        tail = bytearray()
+        _encode_value(tail, "sinr_db")
+        _encode_value(tail, sinr_db)
+        _encode_value(tail, "rrc_connected")
+        _encode_value(tail, rrc_connected)
+        if len(_phy_templates) >= _ENCODE_CACHE_MAX:
+            _phy_templates.clear()
+        parts = (bytes(head), bytes(mid), bytes(tail))
+        _phy_templates[key] = parts
+    return parts
+
+
 def _encode_phy_serving(message) -> bytes:
-    key = (
+    head, mid, tail = phy_serving_template(
         message.carrier,
         message.gci,
         message.channel,
@@ -263,43 +303,8 @@ def _encode_phy_serving(message) -> bytes:
         message.sinr_db,
         message.rrc_connected,
     )
-    parts = _phy_templates.get(key)
-    if parts is None:
-        head = bytearray()
-        _write_varint(head, message.TYPE_CODE)
-        head.append(_TAG_DICT)
-        head.append(8)  # to_payload() field count
-        for field, value in (
-            ("carrier", message.carrier),
-            ("gci", message.gci),
-            ("channel", message.channel),
-            ("rat", message.rat),
-        ):
-            _encode_value(head, field)
-            _encode_value(head, value)
-        _encode_value(head, "rsrp_dbm")
-        mid = bytearray()
-        _encode_value(mid, "rsrq_db")
-        tail = bytearray()
-        _encode_value(tail, "sinr_db")
-        _encode_value(tail, message.sinr_db)
-        _encode_value(tail, "rrc_connected")
-        _encode_value(tail, message.rrc_connected)
-        if len(_phy_templates) >= _ENCODE_CACHE_MAX:
-            _phy_templates.clear()
-        parts = (bytes(head), bytes(mid), bytes(tail))
-        _phy_templates[key] = parts
-    head, mid, tail = parts
     return b"".join(
-        (
-            head,
-            _TAG_FLOAT_BYTE,
-            _PACK_DOUBLE(message.rsrp_dbm),
-            mid,
-            _TAG_FLOAT_BYTE,
-            _PACK_DOUBLE(message.rsrq_db),
-            tail,
-        )
+        (head, PACK_DOUBLE(message.rsrp_dbm), mid, PACK_DOUBLE(message.rsrq_db), tail)
     )
 
 

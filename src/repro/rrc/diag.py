@@ -27,10 +27,16 @@ from dataclasses import dataclass
 from typing import BinaryIO, Iterator
 
 from repro.rrc import messages as msg
-from repro.rrc.codec import decode_message, encode_message
+from repro.rrc.codec import (
+    PACK_DOUBLE,
+    decode_message,
+    encode_message,
+    phy_serving_template,
+)
 
 _MAGIC = 0xD1A6
 _HEADER = struct.Struct("<HIqH")
+_HEADER_PACK = _HEADER.pack
 
 
 class DiagError(ValueError):
@@ -55,6 +61,9 @@ class DiagWriter:
     def __init__(self, stream: BinaryIO):
         self._stream = stream
         self.records_written = 0
+        # Serving cell of the last PHY record and its template parts.
+        self._phy_cell = None
+        self._phy_parts: tuple = ()
 
     @classmethod
     def in_memory(cls) -> "DiagWriter":
@@ -66,6 +75,39 @@ class DiagWriter:
         checksum = sum(payload) & 0xFFFF
         self._stream.write(_HEADER.pack(_MAGIC, len(payload), int(timestamp_ms), checksum))
         self._stream.write(payload)
+        self.records_written += 1
+
+    def write_phy_serving(
+        self, timestamp_ms: int, cell, rsrp_dbm: float, rsrq_db: float
+    ) -> None:
+        """Append a connected UE's PhyServingMeas record for ``cell``.
+
+        The bytes equal ``write(timestamp_ms, PhyServingMeas(...,
+        sinr_db=0.0, rrc_connected=True))``.  They are spliced from the
+        codec's template instead: serving measurements dominate a
+        drive's diag stream, and only the two doubles change between
+        records of one serving cell, whose template parts and checksum
+        contribution are memoized.
+        """
+        if cell is not self._phy_cell:
+            head, mid, tail = phy_serving_template(
+                cell.carrier, cell.cell_id.gci, cell.channel, cell.rat.value, 0.0, True
+            )
+            self._phy_cell = cell
+            self._phy_parts = (
+                head, mid, tail, sum(head) + sum(mid) + sum(tail),
+                len(head) + len(mid) + len(tail) + 16,
+            )
+        head, mid, tail, base_sum, length = self._phy_parts
+        p1 = PACK_DOUBLE(rsrp_dbm)
+        p2 = PACK_DOUBLE(rsrq_db)
+        stream = self._stream
+        stream.write(
+            _HEADER_PACK(
+                _MAGIC, length, timestamp_ms, (base_sum + sum(p1) + sum(p2)) & 0xFFFF
+            )
+        )
+        stream.write(b"".join((head, p1, mid, p2, tail)))
         self.records_written += 1
 
     def getvalue(self) -> bytes:

@@ -25,10 +25,12 @@ runs all UEs in lockstep and batches the per-tick hot path:
   :meth:`~repro.ue.device.UserEquipment.quiet_tick`, skipping the
   per-lane event machinery entirely.
 * **Sharding** — fleets split into :class:`FleetShardUnit` work units
-  over the :mod:`repro.pipeline` backends; per-UE seeds come from
-  ``numpy.random.SeedSequence.spawn``, so every UE's result is
-  bit-identical regardless of fleet size, shard boundaries or worker
-  count.
+  over :mod:`repro.pipeline` workers; per-UE seeds come from
+  ``numpy.random.SeedSequence.spawn``, so every UE's seed and profile
+  are independent of fleet size, shard boundaries and worker count.
+  A UE's outputs still depend on which earlier queries warmed its
+  process's prepared-cell LRU, so a pool of cold workers can differ
+  from a serial run (a ROADMAP open item).
 
 Each fleet member is a :class:`~repro.simulate.runner.DriveLane`, the
 same per-UE run body a solo :class:`DriveSimulator` drive ticks; the
@@ -44,7 +46,6 @@ tick) simply takes the lane's own path.
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -55,8 +56,7 @@ import numpy as np
 from repro.cellnet.radio import compute_metrics_batch
 from repro.cellnet.rat import RAT
 from repro.config.events import EventColumns, entry_mask
-from repro.pipeline.backends import ExecutionBackend, resolve_backend
-from repro.pipeline.unit import WorkUnit
+from repro.pipeline import WorkUnit, default_workers, resolve_backend
 from repro.simulate.mobility import Trajectory, grid_drive, parked_position
 from repro.simulate.runner import DriveLane, DriveResult, TickSample, profile_enabled
 from repro.simulate.scenarios import DriveScenario, ScenarioSpec
@@ -152,7 +152,6 @@ class FleetOptions:
             "idle").
         keep_samples: Retain per-tick samples and raw diag bytes per UE
             (memory-heavy; aggregates never need it).
-        workers: Default worker processes for :func:`run_fleet`.
         shard_size: UEs per work unit (fixed, so the unit list is
             independent of the worker count).
         config_lint: Preflight-audit carrier configurations.
@@ -168,7 +167,6 @@ class FleetOptions:
     transit_lines: int = 8
     traffic: str = "speedtest"
     keep_samples: bool = False
-    workers: int | None = None
     shard_size: int = 64
     config_lint: bool = False
 
@@ -865,8 +863,8 @@ class FleetShardUnit(WorkUnit):
 
     Self-contained and self-seeded: the worker rebuilds the scenario
     from the options' :class:`ScenarioSpec` (process-cached) and every
-    UE's seed derives from (fleet_seed, index), so results are
-    bit-identical however the fleet is sharded.
+    UE's seed derives from (fleet_seed, index), however the fleet is
+    sharded.
     """
 
     unit_id: int
@@ -897,26 +895,16 @@ class FleetResult:
         return self.aggregates.total_ticks / self.elapsed_s if self.elapsed_s else 0.0
 
 
-def _env_workers() -> int:
-    try:
-        return max(int(os.environ.get("REPRO_WORKERS", "1")), 1)
-    except ValueError:
-        return 1
-
-
-def run_fleet(
-    options: FleetOptions,
-    workers: int | None = None,
-    backend: ExecutionBackend | None = None,
-) -> FleetResult:
+def run_fleet(options: FleetOptions, workers: int | None = None) -> FleetResult:
     """Simulate a whole fleet, sharded over pipeline workers.
 
-    Worker count changes wall-clock time only: shards are merged in
-    ``unit_id`` order and every UE is self-seeded, so the result stream
-    is byte-identical for any ``workers``.
+    ``workers`` defaults to ``REPRO_WORKERS`` (else 1).  Shards are
+    merged in ``unit_id`` order and every UE is self-seeded, but a UE's
+    outputs depend on the prepared-cell LRU its process warmed before
+    it, so a pool of cold workers can differ from a serial run.
     """
     if workers is None:
-        workers = options.workers if options.workers is not None else _env_workers()
+        workers = default_workers()
     shard_size = max(options.shard_size, 1)
     units = [
         FleetShardUnit(
@@ -927,12 +915,11 @@ def run_fleet(
         )
         for i, start in enumerate(range(0, options.n_ues, shard_size))
     ]
-    resolved = resolve_backend(workers, backend)
     started = perf_counter()
     ues: list[UEResult] = []
     cache = {"hits": 0, "misses": 0}
     profile: dict[str, float] = {}
-    for shard in resolved.run(units):
+    for shard in resolve_backend(workers).run(units):
         ues.extend(shard.ues)
         cache["hits"] += shard.cache.get("hits", 0)
         cache["misses"] += shard.cache.get("misses", 0)

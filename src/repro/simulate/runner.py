@@ -23,11 +23,8 @@ import numpy as np
 
 from repro.cellnet.cell import CellId
 from repro.cellnet.world import RadioEnvironment
-from repro.rrc import codec as _codec
-from repro.rrc import diag as _diag
 from repro.rrc.broadcast import ConfigServer
 from repro.rrc.diag import DiagWriter
-from repro.rrc.messages import PhyServingMeas
 from repro.simulate.mobility import Trajectory
 from repro.simulate.throughput import ThroughputModel
 from repro.simulate.traffic import NoTraffic, Ping, Speedtest, TrafficModel
@@ -90,39 +87,6 @@ class DriveResult:
         return [(start, total / count) for start, (total, count) in sorted(bins.items())]
 
 
-_TAGF = _codec._TAG_FLOAT_BYTE
-_PACK_DOUBLE = _codec._PACK_DOUBLE
-_HEADER_PACK = _diag._HEADER.pack
-
-
-def _phy_template(cell) -> tuple:
-    """Codec template parts for quiet-path PHY records serving ``cell``.
-
-    Returns ``(head, mid, tail, base_sum, payload_len)``: the codec's
-    own template bytes around the two packed doubles, the checksum
-    contribution of everything except those doubles, and the total
-    payload length.  Encoding one reference message through the codec
-    keeps the parts definitionally identical to the slow path (the
-    quiet path's ``sinr_db`` and ``rrc_connected`` are constants).
-    """
-    message = PhyServingMeas(
-        carrier=cell.carrier,
-        gci=cell.cell_id.gci,
-        channel=cell.channel,
-        rat=cell.rat.value,
-        rsrp_dbm=0.0,
-        rsrq_db=0.0,
-        sinr_db=0.0,
-        rrc_connected=True,
-    )
-    _codec.encode_message(message)
-    head, mid, tail = _codec._phy_templates[
-        (message.carrier, message.gci, message.channel, message.rat, 0.0, True)
-    ]
-    base_sum = sum(head) + sum(mid) + sum(tail) + 2 * _codec._TAG_FLOAT
-    return (head, mid, tail, base_sum, len(head) + len(mid) + len(tail) + 18)
-
-
 class DriveLane:
     """One UE's drive: its wiring, its live state and its per-tick body.
 
@@ -157,8 +121,6 @@ class DriveLane:
         "batched",
         "quiet",
         "quiet_fm",
-        "_phy_cell",
-        "_phy_parts",
         "_gt_snap",
         "_gt_serving",
         "_gt_rsrp",
@@ -218,12 +180,6 @@ class DriveLane:
         self.batched = False
         self.quiet = False
         self.quiet_fm: tuple | None = None
-        # Serving-cell PHY emission template: quiet-tick serving
-        # measurements dominate the diag stream, and their payload is
-        # fixed bytes around the two packed doubles (sinr 0.0 and
-        # rrc_connected=True are constants on the quiet path).
-        self._phy_cell = None
-        self._phy_parts: tuple | None = None
         # Ground-truth serving measurement and capacity memos: a parked
         # UE's (snapshot, serving) pair and load-share epoch repeat for
         # many consecutive ticks, and both lookups are pure given them.
@@ -259,35 +215,16 @@ class DriveLane:
         elif len(ue._listeners) != 1:
             ue.quiet_tick(now_ms, fm[0], fm[1])
         else:
-            # Due PHY serving measurement, emitted directly: the lane's
+            # Due PHY serving measurement, written directly: the lane's
             # writer is the device's only listener, so the notify ->
-            # dataclass -> encode dispatch chain reduces to splicing two
-            # packed doubles into the serving cell's cached payload
-            # template.  Bytes (payload, header, checksum) are identical
-            # to quiet_tick's.
+            # dataclass -> encode dispatch chain reduces to the writer's
+            # template splice, with bytes identical to quiet_tick's
+            # (the quiet path is connected, with sinr 0.0).
             meas = ue.meas
             meas.intra_freq_rounds += 1
             meas.non_intra_freq_rounds += 1
             ue._last_phy_meas_ms = now_ms
-            serving = ue.serving
-            if serving is not self._phy_cell:
-                self._phy_cell = serving
-                self._phy_parts = _phy_template(serving)
-            head, mid, tail, base_sum, length = self._phy_parts
-            p1 = _PACK_DOUBLE(fm[0])
-            p2 = _PACK_DOUBLE(fm[1])
-            writer = self.writer
-            stream = writer._stream
-            stream.write(
-                _HEADER_PACK(
-                    _diag._MAGIC,
-                    length,
-                    now_ms,
-                    (base_sum + sum(p1) + sum(p2)) & 0xFFFF,
-                )
-            )
-            stream.write(b"".join((head, _TAGF, p1, mid, _TAGF, p2, tail)))
-            writer.records_written += 1
+            self.writer.write_phy_serving(now_ms, ue.serving, fm[0], fm[1])
 
     def sample(self, now_ms: int) -> None:
         """Ground truth, delivered traffic and ping probes of this tick."""

@@ -70,7 +70,7 @@ class DriveScenario:
     server: ConfigServer
     highway_endpoints: tuple[Point, Point] | None = None
     #: Recipe to rebuild this scenario in another process; ``None`` for
-    #: hand-assembled scenarios, which then only run on serial backends.
+    #: hand-assembled scenarios, which then only run with ``workers=1``.
     spec: ScenarioSpec | None = None
 
     def urban_trajectory(

@@ -8,9 +8,14 @@ larger builds.
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.cellnet.world import RadioEnvironment
 from repro.datasets.d1 import D1Options, build_d1
 from repro.datasets.d2 import D2Options, build_d2
@@ -66,3 +71,21 @@ def tiny_d1():
 def tiny_d2():
     """A small D2 build shared by dataset/analysis tests."""
     return build_d2(D2Options(n_volunteers=5, include_dense=True))
+
+
+@pytest.fixture(scope="session")
+def run_cold():
+    """Run a code string in a fresh interpreter and return its stdout.
+
+    The interpreter starts with no warm caches: no process-cached
+    scenario, no prepared-cell LRU.
+    """
+    src = str(Path(repro.__file__).resolve().parents[1])
+
+    def run(code: str, *args: str) -> str:
+        return subprocess.run(
+            [sys.executable, "-W", "ignore", "-c", code, *args],
+            capture_output=True, text=True, check=True, env={"PYTHONPATH": src},
+        ).stdout
+
+    return run

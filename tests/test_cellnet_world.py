@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cellnet.rat import RAT
+from repro.cellnet.world import RadioEnvironment
 
 
 def test_cells_near_filters(env, scenario):
@@ -206,3 +207,19 @@ def test_cells_near_radius_edge_is_inclusive(env, scenario):
                     env, location, radius
                 )
 
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="prepared_for builds a grid square's cell set from the square's "
+    "first query point, so the set depends on query order (ROADMAP open item)",
+)
+def test_prepared_set_independent_of_query_order(scenario):
+    # Opposite corners of the 200 m grid square around the city origin,
+    # queried in opposite orders on two fresh environments.
+    origin = scenario.cities[0].origin
+    low, high = origin.offset(-99.0, -99.0), origin.offset(99.0, 99.0)
+    first = RadioEnvironment(scenario.plan)
+    second = RadioEnvironment(scenario.plan)
+    first.prepared_for(low, "A")
+    assert first.prepared_for(high, "A").cells == second.prepared_for(high, "A").cells

@@ -101,10 +101,9 @@ def test_run_all_pending_interleaves_participants_in_id_order(mmlab_server, scen
 def test_run_all_pending_on_process_backend_matches_serial(scenario):
     """Patches fan out over worker processes; archives stay identical."""
     from repro.core.server import MMLabServer
-    from repro.pipeline import ProcessPoolBackend
 
     origin = scenario.cities[0].origin
-    servers = [MMLabServer(scenario, seed=5) for _ in range(2)]
+    servers = [MMLabServer(scenario, seed=5, workers=w) for w in (1, 2)]
     for server in servers:
         for carrier in ("A", "T"):
             participant = server.register(carrier)
@@ -113,7 +112,7 @@ def test_run_all_pending_on_process_backend_matches_serial(scenario):
             )
     serial, pooled = servers
     assert serial.run_all_pending() == 2
-    assert pooled.run_all_pending(backend=ProcessPoolBackend(workers=2)) == 2
+    assert pooled.run_all_pending() == 2
     assert [log.log_bytes for log in pooled.archive] == [
         log.log_bytes for log in serial.archive
     ]

@@ -7,9 +7,10 @@ serial build for the same options/seed.
 
 from dataclasses import replace
 
+import pytest
+
 from repro.datasets.d1 import D1Options, build_d1
 from repro.datasets.d2 import D2Options, build_d2
-from repro.pipeline import ProcessPoolBackend
 
 TINY_D2 = D2Options(n_volunteers=2, include_dense=False, workers=1)
 TINY_D1 = D1Options(
@@ -35,9 +36,9 @@ def test_build_d2_parallel_parity():
     assert _jsonl(pooled.store) == _jsonl(serial.store)
 
 
-def test_build_d2_explicit_backend_overrides_workers():
+def test_build_d2_two_worker_parity():
     serial = build_d2(TINY_D2)
-    pooled = build_d2(TINY_D2, backend=ProcessPoolBackend(workers=2, chunk_size=1))
+    pooled = build_d2(replace(TINY_D2, workers=2))
     assert _jsonl(pooled.store) == _jsonl(serial.store)
 
 
@@ -57,3 +58,27 @@ def test_save_files_identical_across_worker_counts(tmp_path):
     build_d2(TINY_D2).store.save(serial_path)
     build_d2(replace(TINY_D2, workers=2)).store.save(pooled_path)
     assert serial_path.read_bytes() == pooled_path.read_bytes()
+
+
+_COLD_D1 = """
+import hashlib, sys
+from repro.datasets.d1 import D1Options, build_d1
+options = D1Options(scenario="lafayette", carriers=("A",), active_drives=2,
+                    idle_drives=1, drive_duration_s=180.0, highway_drives=0,
+                    workers=int(sys.argv[1]))
+for drive in build_d1(options).drives:
+    print(hashlib.sha256(drive.diag_log).hexdigest())
+"""
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="a drive's output depends on which earlier drives warmed its "
+    "process's prepared-cell LRU (ROADMAP open item)",
+)
+def test_build_d1_cold_processes_match_across_worker_counts(run_cold):
+    serial = run_cold(_COLD_D1, "1").split()
+    pooled = run_cold(_COLD_D1, "2").split()
+    assert len(serial) == len(pooled) == 3
+    assert pooled == serial

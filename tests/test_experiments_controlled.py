@@ -46,10 +46,11 @@ def test_drive_metrics_ping_pong_rate():
         _handoff(1000, 1, 2),
         _handoff(3000, 2, 1),   # back within 10 s: ping-pong
         _handoff(60_000, 1, 3),  # much later: not a ping-pong
+        _handoff(70_000, 3, 1),  # back after exactly 10 s: ping-pong
     ]
     metrics = DriveMetrics.from_result(result)
-    assert metrics.n_handoffs == 3
-    assert metrics.ping_pong_rate == pytest.approx(0.5)
+    assert metrics.n_handoffs == 4
+    assert metrics.ping_pong_rate == pytest.approx(2 / 3)
 
 
 def test_drive_metrics_empty_result():

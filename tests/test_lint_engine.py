@@ -22,6 +22,8 @@ from repro.lint import (
     warn_before_run,
     world_snapshots,
 )
+from repro.lint.engine import PREFLIGHT_MAX_CELLS
+from repro.lint.fixtures import LOOP_CARRIER, loop_fixture
 from repro.lint.report import SARIF_LEVELS, SARIF_VERSION
 from repro.rrc.broadcast import ConfigServer
 
@@ -268,6 +270,40 @@ def test_preflight_warns_once(env):
         warnings.simplefilter("error")
         second = warn_before_run(env, fresh_server, "A")
     assert second is first
+
+
+def _direct_preflight(fixture, graph=False):
+    return lint_world(
+        fixture.env, fixture.server, carriers=(LOOP_CARRIER,),
+        max_cells_per_carrier=PREFLIGHT_MAX_CELLS, graph=graph,
+    )
+
+
+def test_preflight_audits_each_static_server_itself():
+    # The twins share one deployment, so one world digest; only their
+    # injected configurations differ, which the digest cannot see.
+    corrected = loop_fixture(misconfigured=False)
+    broken = loop_fixture(misconfigured=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConfigLintWarning)
+        first = warn_before_run(corrected.env, corrected.server, LOOP_CARRIER)
+        second = warn_before_run(broken.env, broken.server, LOOP_CARRIER)
+    assert first.findings == _direct_preflight(corrected).findings
+    assert second.findings == _direct_preflight(broken).findings
+    assert len(second.findings) > len(first.findings)
+
+
+def test_preflight_server_memo_keys_the_graph_flag():
+    fixture = loop_fixture(misconfigured=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConfigLintWarning)
+        plain = warn_before_run(fixture.env, fixture.server, LOOP_CARRIER, graph=False)
+        graphed = warn_before_run(fixture.env, fixture.server, LOOP_CARRIER, graph=True)
+    assert plain.graph_stats is None
+    assert graphed.graph_stats is not None
+    direct = _direct_preflight(fixture, graph=True)
+    assert graphed.findings == direct.findings
+    assert any(f.code.startswith("HC2") for f in graphed.findings)
 
 
 def test_simulator_preflight_toggle(scenario):

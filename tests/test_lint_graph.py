@@ -35,6 +35,7 @@ from repro.lint.pingpong import (
     a5_neighbor_interval,
     a5_serving_interval,
 )
+from repro.rrc.broadcast import ConfigServer
 
 SARIF_SUBSET_SCHEMA = Path(__file__).parent / "data" / "sarif-2.1.0-subset.schema.json"
 
@@ -288,14 +289,19 @@ def test_preflight_graph_report_memoized_across_servers():
         )
     assert first.graph_stats is not None
     assert any(f.code == "HC201" for f in first.findings)
-    # A fresh server over an identical world reuses the finished audit
-    # (same object out of the content-digest memo) but still warns.
-    second_scenario = loop_fixture(misconfigured=True)
-    with pytest.warns(Warning):
-        second = warn_before_run(
-            second_scenario.env, second_scenario.server, "A", graph=True
-        )
-    assert second is first
+    # Fresh profile-configured servers over an identical world reuse the
+    # finished audit (same object out of the content-digest memo) and
+    # still warn.  The fixture's static servers inject configurations
+    # the digest cannot see, so they never share it.
+    reports = []
+    for _ in range(2):
+        fresh = loop_fixture(misconfigured=True)
+        with pytest.warns(Warning):
+            reports.append(warn_before_run(
+                fresh.env, ConfigServer(fresh.env, seed=2018), "A", graph=True
+            ))
+    assert reports[1] is reports[0]
+    assert reports[0] is not first
 
 
 def test_preflight_graph_env_toggle(monkeypatch):

@@ -6,13 +6,14 @@ from dataclasses import dataclass
 import pytest
 
 from repro.pipeline import (
-    ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
     WorkUnit,
     clear_process_cache,
+    default_workers,
     process_cached,
     resolve_backend,
+    run_cached,
 )
 
 
@@ -65,16 +66,20 @@ def test_process_pool_matches_serial():
     assert pooled == serial
 
 
-@pytest.mark.parametrize("chunk_size", [1, 3, 7, 100])
-def test_process_pool_chunking_preserves_order(chunk_size):
-    units = [SquareUnit(unit_id=i, value=i) for i in range(11)]
-    backend = ProcessPoolBackend(workers=2, chunk_size=chunk_size)
-    assert list(backend.run(units)) == [i * i for i in range(11)]
+# Two workers chunk n units by ceil(n / 8) under a window of 4 chunks:
+# 1 unit is one chunk, 3 are three, 7 are seven (past the window) and
+# 100 are eight chunks of 13.
+@pytest.mark.parametrize("n_units", [1, 3, 7, 100])
+def test_process_pool_chunking_preserves_order(n_units):
+    units = [SquareUnit(unit_id=i, value=i) for i in reversed(range(n_units))]
+    backend = ProcessPoolBackend(workers=2)
+    assert list(backend.run(units)) == [i * i for i in range(n_units)]
 
 
 def test_process_pool_reorders_out_of_order_completions():
+    # Six units on two workers run as six one-unit chunks.
     units = [SlowFirstUnit(unit_id=i) for i in range(6)]
-    backend = ProcessPoolBackend(workers=2, chunk_size=1)
+    backend = ProcessPoolBackend(workers=2)
     assert list(backend.run(units)) == list(range(6))
 
 
@@ -88,22 +93,49 @@ def test_process_pool_propagates_unit_errors():
         list(ProcessPoolBackend(workers=2).run(units))
 
 
-def test_process_pool_rejects_bad_chunk_size():
-    with pytest.raises(ValueError):
-        ProcessPoolBackend(workers=2, chunk_size=0)
-
-
 def test_resolve_backend():
     assert isinstance(resolve_backend(), SerialBackend)
     assert isinstance(resolve_backend(1), SerialBackend)
     pool = resolve_backend(3)
     assert isinstance(pool, ProcessPoolBackend)
     assert pool.workers == 3
-    explicit = SerialBackend()
-    assert resolve_backend(8, backend=explicit) is explicit
-    # Both backend classes satisfy the protocol.
-    assert isinstance(SerialBackend(), ExecutionBackend)
-    assert isinstance(pool, ExecutionBackend)
+
+
+@pytest.mark.parametrize(
+    "value, expected", [(None, 1), ("3", 3), ("0", 1), ("-2", 1), ("many", 1)]
+)
+def test_default_workers_reads_env(monkeypatch, value, expected):
+    if value is None:
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_WORKERS", value)
+    assert default_workers() == expected
+
+
+def _square(unit_id: int, value: int) -> SquareUnit:
+    return SquareUnit(unit_id=unit_id, value=value)
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_run_cached_runs_only_misses(workers):
+    cache: dict = {}
+    items = [("a", 2), ("b", 3), ("a", 2)]
+    results, cached, analyzed = run_cached(cache, items, _square, workers)
+    assert results == {"a": 4, "b": 9}
+    assert (cached, analyzed) == (0, 2)
+    assert cache == {"a": 4, "b": 9}
+    results, cached, analyzed = run_cached(cache, [("b", 3), ("c", 4)], _square, workers)
+    assert results == {"b": 9, "c": 16}
+    assert (cached, analyzed) == (1, 1)
+
+
+def test_run_cached_restarts_cold_at_the_bound(monkeypatch):
+    import repro.pipeline.backends as backends
+
+    monkeypatch.setattr(backends, "RESULT_CACHE_LIMIT", 2)
+    cache: dict = {}
+    run_cached(cache, [("a", 1), ("b", 2), ("c", 3)], _square)
+    assert cache == {"c": 9}
 
 
 def test_process_cached_builds_once():

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.analysis.instability import detect_instability
 from repro.datasets.records import HandoffInstance
-from repro.rrc.codec import encode_message
+from repro.rrc.diag import DiagWriter
 from repro.rrc.messages import PhyServingMeas
 from repro.simulate.fleet import (
     DEFAULT_MIX,
@@ -30,7 +30,7 @@ from repro.simulate.fleet import (
     trajectory_for,
     ue_specs,
 )
-from repro.simulate.runner import DriveSimulator, _phy_template
+from repro.simulate.runner import DriveSimulator
 from repro.simulate.scenarios import ScenarioSpec
 from repro.ue.device import HandoffEvent
 from repro.ue.measurement import MeasurementEngine
@@ -129,6 +129,32 @@ def test_scalar_oracle_matches_batched(fleet_results, monkeypatch):
         assert vec.handoffs == ref.handoffs
         assert vec.diag_sha256 == ref.diag_sha256
         assert vec.ping_rtts_ms == ref.ping_rtts_ms
+
+
+_COLD_FLEET = """
+import json, sys
+from repro.simulate.fleet import FleetOptions, run_fleet
+from repro.simulate.scenarios import ScenarioSpec
+options = FleetOptions(scenario=ScenarioSpec(name="lafayette", seed=7, config_seed=2018),
+                       n_ues=24, shard_size=8, duration_s=30.0)
+result = run_fleet(options, workers=int(sys.argv[1]))
+print(json.dumps(result.aggregates.to_dict(), sort_keys=True))
+for ue in result.ues:
+    print(json.dumps(ue.summary_row(), sort_keys=True))
+"""
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="a UE's output depends on which earlier shards warmed its "
+    "process's prepared-cell LRU (ROADMAP open item)",
+)
+def test_cold_processes_match_across_worker_counts(run_cold):
+    serial = run_cold(_COLD_FLEET, "1").splitlines()
+    sharded = run_cold(_COLD_FLEET, "2").splitlines()
+    assert len(serial) == len(sharded) == 25
+    assert sharded == serial
 
 
 def test_worker_count_does_not_change_output():
@@ -254,29 +280,36 @@ def test_noise_tap_partition_invariance(env):
     assert tapped.tolist() == unbuffered[: len(tapped)].tolist()
 
 
-def test_phy_template_matches_codec(lte_cell):
-    head, mid, tail, base_sum, length = _phy_template(lte_cell)
-    for rsrp, rsrq in ((-97.25, -11.5), (-140.0, -3.0)):
-        import struct
-
-        p1 = struct.pack("<d", rsrp)
-        p2 = struct.pack("<d", rsrq)
-        spliced = b"".join((head, bytes([3]), p1, mid, bytes([3]), p2, tail))
-        reference = encode_message(
+def test_phy_template_matches_codec(scenario):
+    # The writer's template splice must equal the generic write path
+    # byte for byte, header and checksum included, across serving-cell
+    # changes that invalidate its one-cell template memo.
+    cells = [c for c in scenario.plan.registry.by_carrier("A") if c.rat.value == "LTE"][:2]
+    emissions = [
+        (0, cells[0], -97.25, -11.5),
+        (500, cells[0], -140.0, -3.0),
+        (1000, cells[1], -101.125, -19.5),
+        (1500, cells[0], -44.0, -7.75),
+    ]
+    spliced = DiagWriter.in_memory()
+    reference = DiagWriter.in_memory()
+    for t_ms, cell, rsrp, rsrq in emissions:
+        spliced.write_phy_serving(t_ms, cell, rsrp, rsrq)
+        reference.write(
+            t_ms,
             PhyServingMeas(
-                carrier=lte_cell.carrier,
-                gci=lte_cell.cell_id.gci,
-                channel=lte_cell.channel,
-                rat=lte_cell.rat.value,
+                carrier=cell.carrier,
+                gci=cell.cell_id.gci,
+                channel=cell.channel,
+                rat=cell.rat.value,
                 rsrp_dbm=rsrp,
                 rsrq_db=rsrq,
                 sinr_db=0.0,
                 rrc_connected=True,
-            )
+            ),
         )
-        assert spliced == reference
-        assert len(spliced) == length
-        assert (base_sum + sum(p1) + sum(p2)) & 0xFFFF == sum(reference) & 0xFFFF
+    assert spliced.getvalue() == reference.getvalue()
+    assert spliced.records_written == reference.records_written == len(emissions)
 
 
 def test_snapshot_cache_reserve_never_shrinks(env):
