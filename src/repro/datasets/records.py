@@ -9,7 +9,11 @@ context and the performance series around it.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+
+#: The encoder ``json.dumps(obj, separators=(",", ":"))`` builds on every
+#: call, built once: the row encoders below produce the same bytes.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
 @dataclass(frozen=True)
@@ -39,7 +43,20 @@ class ConfigSample:
     round_index: int = 0
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), separators=(",", ":"))
+        # A dict literal in field order: the same dict the generic
+        # dataclass-to-dict conversion builds, without its deepcopy of
+        # every value.
+        return _encode({
+            "carrier": self.carrier,
+            "gci": self.gci,
+            "rat": self.rat,
+            "channel": self.channel,
+            "city": self.city,
+            "parameter": self.parameter,
+            "value": self.value,
+            "observed_day": self.observed_day,
+            "round_index": self.round_index,
+        })
 
     @classmethod
     def from_json(cls, line: str) -> "ConfigSample":
@@ -110,7 +127,26 @@ class HandoffInstance:
         return self.rsrp_after - self.rsrp_before
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), separators=(",", ":"))
+        return _encode({
+            "kind": self.kind,
+            "carrier": self.carrier,
+            "time_ms": self.time_ms,
+            "source_gci": self.source_gci,
+            "target_gci": self.target_gci,
+            "source_channel": self.source_channel,
+            "target_channel": self.target_channel,
+            "intra_freq": self.intra_freq,
+            "decisive_event": self.decisive_event,
+            "decisive_metric": self.decisive_metric,
+            "decisive_config": self.decisive_config,
+            "priority_class": self.priority_class,
+            "rsrp_before": self.rsrp_before,
+            "rsrp_after": self.rsrp_after,
+            "rsrq_before": self.rsrq_before,
+            "rsrq_after": self.rsrq_after,
+            "min_throughput_before_bps": self.min_throughput_before_bps,
+            "report_to_handover_ms": self.report_to_handover_ms,
+        })
 
     @classmethod
     def from_json(cls, line: str) -> "HandoffInstance":

@@ -5,10 +5,11 @@ paper's analyses are all full-population statistics (distributions,
 diversity indices, CDFs), so the useful operations are filtering and
 grouping, not point lookup.  Two concessions to scale:
 
-* ``ConfigSampleStore`` keeps a lazy per-parameter index so the hot
+* ``ConfigSampleStore`` keeps one lazy index per filtered field
+  (carrier, RAT, city, parameter), so the ``for_*`` filters and the
   per-parameter reads (``unique_values``, ``samples_per_cell``,
-  ``parameters``) stop rescanning millions of rows on every call; the
-  index is invalidated on any mutation and rebuilt on demand.
+  ``parameters``) stop rescanning millions of rows on every call; every
+  mutation drops all indexes, and each is rebuilt on demand.
 * ``ingest`` consumes an *iterator* of row batches, which is how the
   pipelined builders stream a harvest in without ever materializing
   the full archive, and ``save`` writes atomically (temp file +
@@ -20,6 +21,7 @@ from __future__ import annotations
 import os
 import tempfile
 from collections import defaultdict
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -56,11 +58,11 @@ class ConfigSampleStore:
 
     def __init__(self, samples: Iterable[ConfigSample] = ()):
         self._samples: list[ConfigSample] = list(samples)
-        self._by_parameter: dict[str, list[ConfigSample]] | None = None
+        self._indexes: dict[str, dict[object, list[ConfigSample]]] = {}
 
     def add(self, sample: ConfigSample) -> None:
         self._samples.append(sample)
-        self._by_parameter = None
+        self._indexes.clear()
 
     def extend(self, samples: Iterable[ConfigSample]) -> None:
         # Invalidate in a finally: ``list.extend`` keeps the elements it
@@ -70,7 +72,7 @@ class ConfigSampleStore:
         try:
             self._samples.extend(samples)
         finally:
-            self._by_parameter = None
+            self._indexes.clear()
 
     def ingest(self, batches: Iterable[Iterable[ConfigSample]]) -> int:
         """Stream batches of samples in (one batch per work unit).
@@ -84,7 +86,7 @@ class ConfigSampleStore:
             for batch in batches:
                 self._samples.extend(batch)
         finally:
-            self._by_parameter = None
+            self._indexes.clear()
         return len(self._samples) - before
 
     def __len__(self) -> int:
@@ -93,30 +95,40 @@ class ConfigSampleStore:
     def __iter__(self) -> Iterator[ConfigSample]:
         return iter(self._samples)
 
-    def _parameter_index(self) -> dict[str, list[ConfigSample]]:
-        """Samples grouped by parameter name (rebuilt after mutations)."""
-        if self._by_parameter is None:
-            index: dict[str, list[ConfigSample]] = defaultdict(list)
+    def _index(self, field: str) -> dict[object, list[ConfigSample]]:
+        """Samples partitioned by one field's value, each in store order.
+
+        Built on first use per field; every mutation drops all of them.
+        """
+        index = self._indexes.get(field)
+        if index is None:
+            groups: dict[object, list[ConfigSample]] = defaultdict(list)
+            key = attrgetter(field)
             for sample in self._samples:
-                index[sample.parameter].append(sample)
-            self._by_parameter = dict(index)
-        return self._by_parameter
+                groups[key(sample)].append(sample)
+            index = self._indexes[field] = dict(groups)
+        return index
+
+    def _partition(self, field: str, value: object) -> "ConfigSampleStore":
+        # The sub-store copies the partition, so mutating it leaves this
+        # store's index intact.
+        return ConfigSampleStore(self._index(field).get(value, ()))
 
     def filter(self, predicate: Callable[[ConfigSample], bool]) -> "ConfigSampleStore":
         """A new store holding only samples matching ``predicate``."""
         return ConfigSampleStore(s for s in self._samples if predicate(s))
 
     def for_carrier(self, carrier: str) -> "ConfigSampleStore":
-        return self.filter(lambda s: s.carrier == carrier)
+        return self._partition("carrier", carrier)
 
     def for_rat(self, rat: str) -> "ConfigSampleStore":
-        return self.filter(lambda s: s.rat == rat)
+        return self._partition("rat", rat)
 
     def for_parameter(self, parameter: str) -> "ConfigSampleStore":
-        return ConfigSampleStore(self._parameter_index().get(parameter, ()))
+        return self._partition("parameter", parameter)
 
     def for_city(self, city: str) -> "ConfigSampleStore":
-        return self.filter(lambda s: s.city == city)
+        return self._partition("city", city)
 
     def unique_cells(self) -> set[tuple[str, int]]:
         """(carrier, gci) pairs present in the store."""
@@ -124,7 +136,7 @@ class ConfigSampleStore:
 
     def parameters(self) -> list[str]:
         """Distinct parameter names, sorted."""
-        return sorted(self._parameter_index())
+        return sorted(self._index("parameter"))
 
     def unique_values(
         self, parameter: str, deduplicate_cells: bool = True
@@ -135,7 +147,7 @@ class ConfigSampleStore:
         samples, so as not to tip distributions in favor of cells with
         many same samples"), each (cell, value) pair counts once.
         """
-        samples = self._parameter_index().get(parameter, ())
+        samples = self._index("parameter").get(parameter, ())
         if deduplicate_cells:
             seen = {(s.carrier, s.gci, s.value_key): s.value_key for s in samples}
             return list(seen.values())
@@ -153,7 +165,7 @@ class ConfigSampleStore:
     def samples_per_cell(self, parameter: str) -> dict[tuple[str, int], int]:
         """How many samples each cell contributed for one parameter."""
         counts: dict[tuple[str, int], int] = defaultdict(int)
-        for s in self._parameter_index().get(parameter, ()):
+        for s in self._index("parameter").get(parameter, ()):
             counts[(s.carrier, s.gci)] += 1
         return dict(counts)
 

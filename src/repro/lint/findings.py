@@ -8,7 +8,7 @@ frozen data so they can be printed, counted, serialized and asserted on.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 #: Severity levels, weakest first.  "problem" marks configurations the
 #: paper ties to concrete harm (handoff loops, unreachable layers);
@@ -87,10 +87,18 @@ class Finding:
         return f"{self.code}:{self.carrier}:{self.gci}:{self.channel}:{self.subject}"
 
     def to_dict(self) -> dict[str, object]:
-        """JSON-ready representation (adds the fingerprint)."""
-        payload: dict[str, object] = asdict(self)
-        payload["fingerprint"] = self.fingerprint
-        return payload
+        """JSON-ready representation: the fields in order, then the fingerprint."""
+        return {
+            "code": self.code,
+            "severity": self.severity,
+            "carrier": self.carrier,
+            "gci": self.gci,
+            "message": self.message,
+            "name": self.name,
+            "channel": self.channel,
+            "subject": self.subject,
+            "fingerprint": self.fingerprint,
+        }
 
 
 def sort_findings(findings: list[Finding]) -> list[Finding]:

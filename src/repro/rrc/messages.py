@@ -12,7 +12,7 @@ the legacy RATs.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.cellnet.cell import CellId
 from repro.cellnet.rat import RAT
@@ -27,6 +27,28 @@ from repro.config.lte import (
     MeasurementConfig,
     ServingCellConfig,
 )
+
+
+#: Field names, in order, of every config class a payload flattens.
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {
+    cls: tuple(f.name for f in fields(cls))
+    for cls in (
+        ServingCellConfig, IntraFreqNeighborConfig, InterFreqLayerConfig,
+        InterRatUtraConfig, InterRatGeranConfig, InterRatCdmaConfig,
+        EventConfig, PeriodicConfig,
+    )
+}
+
+
+def _fields_dict(config) -> dict:
+    """A config dataclass's fields as a dict, in field order.
+
+    The walk is shallow: these configs hold only scalars, enums and
+    tuples of ints, so this equals the generic dataclass-to-dict
+    conversion, containers included, without its deepcopy of every
+    value.
+    """
+    return {name: getattr(config, name) for name in _FIELD_NAMES[type(config)]}
 
 
 class Message:
@@ -66,7 +88,8 @@ class Sib1(Message):
 
     def to_payload(self) -> dict:
         # Flat scalar fields: a literal dict in field order produces the
-        # same payload as dataclasses.asdict without its deepcopy pass.
+        # same payload as the generic dataclass-to-dict conversion
+        # without its deepcopy pass.
         return {
             "carrier": self.carrier,
             "gci": self.gci,
@@ -91,7 +114,7 @@ class Sib3(Message):
     config: ServingCellConfig = field(default_factory=ServingCellConfig)
 
     def to_payload(self) -> dict:
-        return asdict(self.config)
+        return _fields_dict(self.config)
 
     @classmethod
     def from_payload(cls, payload: dict) -> "Sib3":
@@ -107,7 +130,7 @@ class Sib4(Message):
     config: IntraFreqNeighborConfig = field(default_factory=IntraFreqNeighborConfig)
 
     def to_payload(self) -> dict:
-        payload = asdict(self.config)
+        payload = _fields_dict(self.config)
         payload["black_cell_list"] = list(payload["black_cell_list"])
         return payload
 
@@ -127,7 +150,7 @@ class Sib5(Message):
     layers: tuple[InterFreqLayerConfig, ...] = ()
 
     def to_payload(self) -> dict:
-        return {"layers": [asdict(layer) for layer in self.layers]}
+        return {"layers": [_fields_dict(layer) for layer in self.layers]}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "Sib5":
@@ -143,7 +166,7 @@ class Sib6(Message):
     layers: tuple[InterRatUtraConfig, ...] = ()
 
     def to_payload(self) -> dict:
-        return {"layers": [asdict(layer) for layer in self.layers]}
+        return {"layers": [_fields_dict(layer) for layer in self.layers]}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "Sib6":
@@ -161,7 +184,7 @@ class Sib7(Message):
     def to_payload(self) -> dict:
         payloads = []
         for layer in self.layers:
-            d = asdict(layer)
+            d = _fields_dict(layer)
             d["carrier_freqs"] = list(d["carrier_freqs"])
             payloads.append(d)
         return {"layers": payloads}
@@ -185,7 +208,7 @@ class Sib8(Message):
     layers: tuple[InterRatCdmaConfig, ...] = ()
 
     def to_payload(self) -> dict:
-        return {"layers": [asdict(layer) for layer in self.layers]}
+        return {"layers": [_fields_dict(layer) for layer in self.layers]}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "Sib8":
@@ -193,7 +216,7 @@ class Sib8(Message):
 
 
 def _event_to_payload(event: EventConfig) -> dict:
-    d = asdict(event)
+    d = _fields_dict(event)
     d["event"] = event.event.value
     return d
 
@@ -253,7 +276,7 @@ class RrcConnectionReconfiguration(Message):
         if self.meas_config is not None:
             payload["meas_config"] = {
                 "events": [_event_to_payload(e) for e in self.meas_config.events],
-                "periodic": asdict(self.meas_config.periodic) if self.meas_config.periodic else None,
+                "periodic": _fields_dict(self.meas_config.periodic) if self.meas_config.periodic else None,
                 "s_measure": self.meas_config.s_measure,
             }
         if self.mobility is not None:

@@ -107,6 +107,23 @@ def test_d2_has_repeated_observations(tiny_d2):
     assert multi_sample_cell_fraction(tiny_d2.store) > 0.2
 
 
+def test_d2_store_reloads_equal_to_the_built_store(tmp_path):
+    """List parameters are built as tuples, the form a reload reads, so
+    the samples compare equal across save + load and all hash."""
+    from repro.datasets.d2 import D2Options, build_d2
+    from repro.datasets.store import ConfigSampleStore
+
+    build = build_d2(D2Options(n_volunteers=2, include_dense=False))
+    path = tmp_path / "d2.jsonl"
+    build.store.save(path)
+    assert list(ConfigSampleStore.load(path)) == list(build.store)
+    assert {s.parameter for s in build.store if isinstance(s.value, tuple)} >= {
+        "intra_freq_black_cell_list", "eutra_freq_list",
+    }
+    for sample in build.store:
+        hash(sample)
+
+
 def test_d2_deterministic():
     from repro.datasets.d2 import D2Options, build_d2
 

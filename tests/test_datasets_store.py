@@ -1,5 +1,7 @@
 """Tests for the dataset stores."""
 
+import random
+
 import pytest
 
 from repro.datasets.records import ConfigSample, HandoffInstance
@@ -181,20 +183,29 @@ def test_parameter_index_matches_naive_scan():
         assert sorted(map(str, store.unique_values(p))) == sorted(map(str, unique[p]))
         assert store.samples_per_cell(p) == per_cell[p]
         assert len(store.for_parameter(p)) == sum(per_cell[p].values())
+    for carrier in ("A", "T"):
+        assert list(store.for_carrier(carrier)) == [
+            s for s in store if s.carrier == carrier
+        ]
 
 
 def test_parameter_index_invalidated_on_mutation():
     store = ConfigSampleStore([_sample(gci=1)])
     assert store.parameters() == ["q_hyst"]  # builds the index
-    store.add(_sample(gci=2, parameter="p_max", value=23))
+    assert len(store.for_carrier("T")) == 0  # builds the carrier index
+    store.add(_sample(carrier="T", gci=2, parameter="p_max", value=23))
     assert store.parameters() == ["p_max", "q_hyst"]
-    assert store.samples_per_cell("p_max") == {("A", 2): 1}
-    store.extend([_sample(gci=3, parameter="p_max", value=20)])
-    assert store.samples_per_cell("p_max") == {("A", 2): 1, ("A", 3): 1}
-    store.ingest([[_sample(gci=4, parameter="p_max", value=18)]])
+    assert store.samples_per_cell("p_max") == {("T", 2): 1}
+    assert [s.gci for s in store.for_carrier("T")] == [2]
+    store.extend([_sample(carrier="T", gci=3, parameter="p_max", value=20)])
+    assert store.samples_per_cell("p_max") == {("T", 2): 1, ("T", 3): 1}
+    assert [s.gci for s in store.for_carrier("T")] == [2, 3]
+    store.ingest([[_sample(carrier="T", gci=4, parameter="p_max", value=18)]])
     assert store.samples_per_cell("p_max") == {
-        ("A", 2): 1, ("A", 3): 1, ("A", 4): 1,
+        ("T", 2): 1, ("T", 3): 1, ("T", 4): 1,
     }
+    assert [s.gci for s in store.for_carrier("T")] == [2, 3, 4]
+    assert [s.gci for s in store.for_carrier("A")] == [1]
 
 
 def test_parameter_index_invalidated_when_mutation_raises():
@@ -203,25 +214,84 @@ def test_parameter_index_invalidated_when_mutation_raises():
     invalidated even on the exception path."""
 
     def exploding_samples():
-        yield _sample(gci=2, parameter="p_max", value=23)
+        yield _sample(carrier="T", gci=2, parameter="p_max", value=23)
         raise RuntimeError("source died")
 
     store = ConfigSampleStore([_sample(gci=1)])
     assert store.parameters() == ["q_hyst"]  # builds the index
+    assert len(store.for_carrier("T")) == 0  # builds the carrier index
     with pytest.raises(RuntimeError):
         store.extend(exploding_samples())
     assert len(store) == 2  # the consumed sample did land
     assert store.parameters() == ["p_max", "q_hyst"]
-    assert store.samples_per_cell("p_max") == {("A", 2): 1}
+    assert store.samples_per_cell("p_max") == {("T", 2): 1}
+    assert [s.gci for s in store.for_carrier("T")] == [2]
 
     def exploding_batches():
-        yield [_sample(gci=3, parameter="p_max", value=20)]
+        yield [_sample(carrier="T", gci=3, parameter="p_max", value=20)]
         raise RuntimeError("source died")
 
     assert store.parameters() == ["p_max", "q_hyst"]  # rebuild the index
     with pytest.raises(RuntimeError):
         store.ingest(exploding_batches())
-    assert store.samples_per_cell("p_max") == {("A", 2): 1, ("A", 3): 1}
+    assert store.samples_per_cell("p_max") == {("T", 2): 1, ("T", 3): 1}
+    assert [s.gci for s in store.for_carrier("T")] == [2, 3]
+
+
+# -- field index --------------------------------------------------------------
+
+_FILTERS = {
+    "carrier": ConfigSampleStore.for_carrier,
+    "rat": ConfigSampleStore.for_rat,
+    "city": ConfigSampleStore.for_city,
+    "parameter": ConfigSampleStore.for_parameter,
+}
+
+
+def _random_store(seed=2018, n=400):
+    rng = random.Random(seed)
+    return ConfigSampleStore(
+        _sample(
+            carrier=rng.choice("ATVS"),
+            gci=rng.randrange(30),
+            parameter=rng.choice(["q_hyst", "p_max", "a3_offset", "eutra_freq_list"]),
+            value=rng.choice([4.0, 2.0, 23, (1, 2), [3]]),
+            city=rng.choice(["X", "Y", "Z"]),
+            rat=rng.choice(["LTE", "UMTS", "GSM"]),
+            day=float(i),
+        )
+        for i in range(n)
+    )
+
+
+@pytest.mark.parametrize("field", sorted(_FILTERS))
+def test_field_index_equals_ordered_scan(field):
+    store = _random_store()
+    values = {getattr(s, field) for s in store}
+    assert len(values) > 1
+    for value in sorted(values):
+        expected = [s for s in store if getattr(s, field) == value]
+        assert list(_FILTERS[field](store, value)) == expected
+    assert len(_FILTERS[field](store, "absent")) == 0
+
+
+def test_mutating_a_sub_store_leaves_parent_partitions():
+    store = _random_store()
+    before = {
+        field: {v: list(_FILTERS[field](store, v)) for v in {getattr(s, field) for s in store}}
+        for field in _FILTERS
+    }
+    sub = store.for_carrier("A")
+    sub.add(_sample(carrier="A", gci=99))
+    sub.extend([_sample(carrier="A", gci=98, city="W")])
+    sub.ingest([[_sample(carrier="A", gci=97, rat="EVDO")]])
+    assert len(sub) == len(before["carrier"]["A"]) + 3
+    assert len(store) == 400
+    for field, partitions in before.items():
+        for value, samples in partitions.items():
+            assert list(_FILTERS[field](store, value)) == samples
+    assert len(store.for_city("W")) == 0
+    assert len(store.for_rat("EVDO")) == 0
 
 
 # -- iterator ingest ----------------------------------------------------------
