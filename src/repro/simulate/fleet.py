@@ -9,8 +9,11 @@ runs all UEs in lockstep and batches the per-tick hot path:
 
 * **Shared radio snapshots** — UEs standing at the same spot (parked
   clusters, transit riders on one line) share a single physics pass per
-  tick; everyone else's neighborhoods come from the environment's
-  prepared-cell LRU, whose capacity is grown to the fleet's working set
+  tick.  Movers take theirs from their trajectory's look-ahead
+  :class:`~repro.simulate.runner.SnapshotFeed`, the same feed a solo
+  drive uses, shared by every lane on one trajectory and carrier.
+  Neighborhoods come from the environment's prepared-cell LRU, whose
+  capacity is grown to the fleet's working set
   (:meth:`~repro.cellnet.world.RadioEnvironment.reserve_snapshot_capacity`).
 * **Batched measurement rounds** — the L3 filter state of every
   batched UE, whatever neighborhood it lives in, is promoted to
@@ -53,12 +56,17 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.cellnet.radio import compute_metrics_batch
 from repro.cellnet.rat import RAT
 from repro.config.events import EventColumns, entry_mask
 from repro.pipeline import WorkUnit, default_workers, resolve_backend
 from repro.simulate.mobility import Trajectory, grid_drive, parked_position
-from repro.simulate.runner import DriveLane, DriveResult, TickSample, profile_enabled
+from repro.simulate.runner import (
+    DriveLane,
+    DriveResult,
+    SnapshotFeed,
+    TickSample,
+    profile_enabled,
+)
 from repro.simulate.scenarios import DriveScenario, ScenarioSpec
 from repro.simulate.traffic import (
     ConstantRate,
@@ -467,16 +475,10 @@ class _ShardResult:
 class FleetSimulator:
     """Runs a slice of a fleet in lockstep with batched per-tick passes."""
 
-    #: Mover physics look-ahead: one broadcast RSRP pass covers this
-    #: many future ticks of a trajectory per neighborhood.
-    _LOOKAHEAD_TICKS = 32
-
     def __init__(self, scenario: DriveScenario, options: FleetOptions):
         self.scenario = scenario
         self.options = options
         self._transit_cache: dict[int, Trajectory] = {}
-        #: (trajectory id, carrier) -> (anchor tick ms, snapshot chunk).
-        self._lookahead: dict[tuple, tuple[int, list]] = {}
         self.profile: dict[str, float] | None = {} if profile_enabled() else None
 
     def _trajectory(self, spec: UESpec) -> Trajectory:
@@ -514,17 +516,24 @@ class FleetSimulator:
         specs = ue_specs(options, start, count)
         env = self.scenario.env
         lanes = []
+        # One look-ahead feed per (trajectory, carrier): transit riders
+        # of one line share its chunks.
+        feeds: dict[tuple, SnapshotFeed] = {}
         for spec in specs:
+            trajectory = self._trajectory(spec)
+            key = (id(trajectory), spec.carrier)
             lane = DriveLane(
                 env,
                 self.scenario.server,
                 spec.carrier,
-                self._trajectory(spec),
+                trajectory,
                 make_traffic(options.traffic),
                 options.tick_ms,
                 spec.seed,
                 keep_samples=options.keep_samples,
+                feed=feeds.get(key),
             )
+            feeds.setdefault(key, lane.feed)
             lane.static = spec.profile == "parked"
             lanes.append(lane)
         profile = self.profile
@@ -544,26 +553,16 @@ class FleetSimulator:
             lane.row = row
         while active:
             t0 = perf_counter() if profile is not None else 0.0
-            # Positions: one interpolation per distinct trajectory.
-            positions: dict[int, object] = {}
-            for lane in movers:
-                key = id(lane.trajectory)
-                position = positions.get(key)
-                if position is None:
-                    position = lane.trajectory.position(now_ms)
-                    positions[key] = position
-                lane.location = position
             # Snapshot sharing: one physics pass per occupied
             # (location, carrier) spot; co-located lanes adopt it.
             spots: dict[tuple, list[DriveLane]] = {}
             for lane in movers:
-                location = lane.location
+                location = lane.location = lane.feed.location(now_ms)
                 spots.setdefault((location.x, location.y, lane.carrier), []).append(lane)
             if tick_index % 128 == 0:
                 env.reserve_snapshot_capacity(len(spots) + n_static_spots)
             # Spots whose first lane already holds this tick's snapshot
-            # reuse it; the rest draw theirs from a per-trajectory
-            # look-ahead chunk of precomputed physics.
+            # reuse it; the rest draw theirs from the first lane's feed.
             for group in spots.values():
                 first = group[0]
                 meas = first.ue.meas
@@ -572,7 +571,7 @@ class FleetSimulator:
                     snap = meas._snap
                     adopters = group[1:]
                 else:
-                    snap = self._lookahead_snap(first, now_ms)
+                    snap = first.feed.snapshot(now_ms)
                     adopters = group
                 for lane in adopters:
                     lane.ue.meas.adopt_snapshot(lane.location, lane.carrier, snap)
@@ -643,58 +642,6 @@ class FleetSimulator:
             _ue_result(spec, lane, options.keep_samples)
             for spec, lane in zip(specs, lanes)
         ]
-
-    def _lookahead_snap(self, lane: DriveLane, now_ms: int):
-        """This tick's snapshot for a moving lane, physics precomputed.
-
-        A trajectory's future positions are a pure function of time, so
-        the RSRP chain for the next ``_LOOKAHEAD_TICKS`` ticks runs as
-        one broadcast pass per prepared neighborhood
-        (:meth:`RadioEnvironment.snapshot_batch`); every lane riding the
-        same trajectory and carrier consumes the same chunk.  Each
-        snapshot is bit-identical to what ``env.snapshot`` would build
-        at that (location, tick) — only when it is computed changes.
-        """
-        key = (id(lane.trajectory), lane.carrier)
-        tick_ms = self.options.tick_ms
-        entry = self._lookahead.get(key)
-        if entry is not None:
-            idx = (now_ms - entry[0]) // tick_ms
-            if 0 <= idx < len(entry[1]):
-                return entry[1][idx]
-        trajectory = lane.trajectory
-        horizon = max(
-            min(
-                self._LOOKAHEAD_TICKS,
-                (trajectory.duration_ms - now_ms) // tick_ms + 1,
-            ),
-            1,
-        )
-        spots = [
-            (trajectory.position(now_ms + k * tick_ms), lane.carrier)
-            for k in range(horizon)
-        ]
-        snaps = self.scenario.env.snapshot_batch(spots, radius_m=lane.ue.meas.radius_m)
-        # Prime the chunk's RSRQ/SINR arrays in one batched pass per
-        # shared prepared set (rows bit-identical to the lazy
-        # per-snapshot computation), so the per-tick consumers — raw
-        # measurement rows, the runner's ground truth — never pay
-        # ``_compute_metrics`` snapshot by snapshot.
-        groups: dict[int, list] = {}
-        for snap in snaps:
-            if snap._metrics is None and snap.prepared.cells:
-                groups.setdefault(id(snap.prepared), []).append(snap)
-        for members in groups.values():
-            if len(members) < 2:
-                continue
-            rsrp_mat = np.stack([s.rsrp_array for s in members])
-            rsrq, sinr, power_mw, own_totals = compute_metrics_batch(
-                members[0].prepared, rsrp_mat
-            )
-            for k, s in enumerate(members):
-                s.prime_metrics(rsrq[k], sinr[k], power_mw[k], own_totals[k])
-        self._lookahead[key] = (now_ms, snaps)
-        return snaps[0]
 
     def _batch_step(
         self, now_ms: int, group: list[DriveLane], state: BatchMeasurementState

@@ -9,7 +9,9 @@ capacity into delivered throughput (the role of tcpdump in the paper).
 The per-tick body is :class:`DriveLane`, the one per-UE run body of the
 simulator: a solo drive ticks one lane along its trajectory, and the
 fleet simulator (:mod:`repro.simulate.fleet`) ticks many lanes in
-lockstep.
+lockstep.  Both draw each tick's location and radio snapshot from a
+:class:`SnapshotFeed`, which computes a trajectory's physics ahead of
+time in batched chunks.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from time import perf_counter
 import numpy as np
 
 from repro.cellnet.cell import CellId
+from repro.cellnet.geo import Point
+from repro.cellnet.radio import RadioSnapshot, compute_metrics_batch
 from repro.cellnet.world import RadioEnvironment
 from repro.rrc.broadcast import ConfigServer
 from repro.rrc.diag import DiagWriter
@@ -65,7 +69,10 @@ class DriveResult:
     diag_log: bytes = b""
     ping_rtts_ms: list[tuple[int, float | None]] = field(default_factory=list)
     #: Per-stage cumulative wall seconds, populated when the drive ran
-    #: under ``REPRO_PROFILE=1``; None otherwise.
+    #: under ``REPRO_PROFILE=1``; None otherwise.  The runner's stages
+    #: are ``physics`` (tick locations and look-ahead snapshots),
+    #: ``ue_tick`` and ``ground_truth``; the UE adds ``measurement`` and
+    #: ``events`` (both inside ``ue_tick``).
     profile: dict[str, float] | None = None
 
     def throughput_series(self, bin_ms: int = 1000) -> list[tuple[int, float]]:
@@ -87,21 +94,121 @@ class DriveResult:
         return [(start, total / count) for start, (total, count) in sorted(bins.items())]
 
 
+class SnapshotFeed:
+    """Look-ahead physics of one trajectory on one carrier.
+
+    A trajectory's positions are a pure function of time, so the RSRP
+    chain of its next :attr:`LOOKAHEAD_TICKS` tick positions runs as
+    one :meth:`~repro.cellnet.world.RadioEnvironment.snapshot_batch`
+    pass, and :func:`~repro.cellnet.radio.compute_metrics_batch` primes
+    their RSRQ/SINR once per shared prepared set.  Each snapshot is
+    bit-identical to what ``env.snapshot`` builds at that (location,
+    carrier); only when it is computed changes.  The batch queries its
+    spots strictly in tick order, so the prepared-cell LRU sees the same
+    first query point in every grid square as per-tick snapshots do.
+
+    :meth:`location` hands a tick its position, from the current chunk
+    when one covers the tick.  :meth:`snapshot` hands it its snapshot,
+    starting a chunk at that tick when none covers it.  Callers ask for
+    a snapshot only when the UE's snapshot memo does not already hold
+    the location (it does at t = 0 after the initial camp, and for the
+    whole of a parked trajectory), so a UE standing still starts no
+    chunk.  Lanes riding one trajectory on one carrier share a feed.
+    """
+
+    #: Ticks of physics one chunk computes ahead.
+    LOOKAHEAD_TICKS = 32
+
+    __slots__ = (
+        "env",
+        "trajectory",
+        "carrier",
+        "tick_ms",
+        "radius_m",
+        "_anchor",
+        "_locations",
+        "_snaps",
+    )
+
+    def __init__(
+        self,
+        env: RadioEnvironment,
+        trajectory: Trajectory,
+        carrier: str,
+        tick_ms: int,
+        radius_m: float,
+    ):
+        self.env = env
+        self.trajectory = trajectory
+        self.carrier = carrier
+        self.tick_ms = tick_ms
+        self.radius_m = radius_m
+        # The current chunk: tick positions from ``_anchor`` on, and
+        # their snapshots (none until a tick asks for one).
+        self._anchor = 0
+        self._locations: list[Point] = []
+        self._snaps: list[RadioSnapshot] = []
+
+    def location(self, now_ms: int) -> Point:
+        """The trajectory's position at tick ``now_ms``."""
+        k = (now_ms - self._anchor) // self.tick_ms
+        if 0 <= k < len(self._locations):
+            return self._locations[k]
+        location = self.trajectory.position(now_ms)
+        self._anchor = now_ms
+        self._locations = [location]
+        self._snaps = []
+        return location
+
+    def snapshot(self, now_ms: int) -> RadioSnapshot:
+        """The radio snapshot at tick ``now_ms``'s location."""
+        k = (now_ms - self._anchor) // self.tick_ms
+        if 0 <= k < len(self._snaps):
+            return self._snaps[k]
+        trajectory, tick_ms = self.trajectory, self.tick_ms
+        horizon = max(
+            min(self.LOOKAHEAD_TICKS, (trajectory.duration_ms - now_ms) // tick_ms + 1), 1
+        )
+        locations = [self.location(now_ms)]
+        locations.extend(trajectory.position(now_ms + j * tick_ms) for j in range(1, horizon))
+        snaps = self.env.snapshot_batch(
+            [(location, self.carrier) for location in locations], radius_m=self.radius_m
+        )
+        # Rows of one batched pass per shared prepared set are
+        # bit-identical to each snapshot's own lazy computation.
+        groups: dict[int, list[RadioSnapshot]] = {}
+        for snap in snaps:
+            if snap.prepared.cells:
+                groups.setdefault(id(snap.prepared), []).append(snap)
+        for members in groups.values():
+            if len(members) < 2:
+                continue
+            rsrq, sinr, power_mw, own_totals = compute_metrics_batch(
+                members[0].prepared, np.stack([s.rsrp_array for s in members])
+            )
+            for j, snap in enumerate(members):
+                snap.prime_metrics(rsrq[j], sinr[j], power_mw[j], own_totals[j])
+        self._anchor, self._locations, self._snaps = now_ms, locations, snaps
+        return snaps[0]
+
+
 class DriveLane:
     """One UE's drive: its wiring, its live state and its per-tick body.
 
     The UE is seeded with ``seed * 1009 + run_index`` and the throughput
     model draws from ``(seed, run_index, 0x7A)``, so a lane is the same
-    device wherever it runs.  Each tick the caller assigns ``location``,
-    then calls :meth:`tick` (the UE's step) and :meth:`sample` (ground
-    truth, delivered traffic, ping probes).  A fleet front-loads work
-    the tick would otherwise compute itself — shared snapshots, batched
-    measurement rounds, event masks, quiet-tick proofs — never different
-    work, so a fleet member's outputs equal its solo drive bit for bit.
+    device wherever it runs.  Each tick the caller assigns ``location``
+    (from the lane's :class:`SnapshotFeed`), then calls :meth:`tick`
+    (the UE's step) and :meth:`sample` (ground truth, delivered traffic,
+    ping probes).  A fleet front-loads work the tick would otherwise
+    compute itself — shared snapshots, batched measurement rounds, event
+    masks, quiet-tick proofs — never different work, so a fleet member's
+    outputs equal its solo drive bit for bit.
     """
 
     __slots__ = (
         "trajectory",
+        "feed",
         "carrier",
         "tick_ms",
         "traffic",
@@ -146,6 +253,7 @@ class DriveLane:
         run_index: int = 0,
         vectorized: bool | None = None,
         keep_samples: bool = True,
+        feed: SnapshotFeed | None = None,
     ):
         self.trajectory = trajectory
         self.carrier = carrier
@@ -159,6 +267,13 @@ class DriveLane:
         self.static = False
         self.ue = UserEquipment(
             env, server, carrier, seed=seed * 1009 + run_index, vectorized=vectorized
+        )
+        #: The trajectory's location and snapshot feed; fleet lanes on
+        #: one trajectory and carrier pass in a shared one.
+        self.feed = (
+            feed
+            if feed is not None
+            else SnapshotFeed(env, trajectory, carrier, tick_ms, self.ue.meas.radius_m)
         )
         # The listener closes over the writer, not the lane: a lane ->
         # UE -> listener -> lane cycle would keep a finished drive's
@@ -195,7 +310,7 @@ class DriveLane:
         self._occupancy: Counter = Counter()
         self._occ_cell = None
         self._occ_run = 0
-        self.location = trajectory.position(0)
+        self.location = self.feed.location(0)
         self.ue.initial_camp(self.location, 0)
         if traffic.generates_user_traffic:
             self.ue.connect(0)
@@ -314,10 +429,12 @@ class DriveSimulator:
             the first drive and surface findings as a
             :class:`~repro.lint.engine.ConfigLintWarning`.  The audit is
             cached per (server, carrier), so fleets pay for it once.
-        vectorized: Run the UE's array-resident hot path (default) or
-            the scalar reference loop; drives are bit-identical either
-            way.  Setting ``REPRO_PROFILE=1`` additionally attaches
-            per-stage cumulative timings to each :class:`DriveResult`.
+        vectorized: Run the UE's array-resident hot path, fed by the
+            look-ahead :class:`SnapshotFeed` (default), or the scalar
+            reference loop with its own per-tick snapshot; drives are
+            bit-identical either way.  Setting ``REPRO_PROFILE=1``
+            additionally attaches per-stage cumulative timings to each
+            :class:`DriveResult`.
     """
 
     def __init__(
@@ -372,20 +489,27 @@ class DriveSimulator:
         if profile_enabled():
             profile = {}
             lane.ue.profile = profile
+        feed, meas, carrier = lane.feed, lane.ue.meas, self.carrier
+        # The scalar oracle takes its own per-tick snapshot.
+        look_ahead = meas.vectorized
         now_ms = 0
         while now_ms <= trajectory.duration_ms:
-            lane.location = trajectory.position(now_ms)
+            t0 = perf_counter() if profile is not None else 0.0
+            location = lane.location = feed.location(now_ms)
+            if look_ahead and (location.x, location.y, carrier) != meas._snap_key:
+                meas.adopt_snapshot(location, carrier, feed.snapshot(now_ms))
             if profile is None:
                 lane.tick(now_ms)
                 lane.sample(now_ms)
             else:
-                t0 = perf_counter()
-                lane.tick(now_ms)
                 t1 = perf_counter()
+                lane.tick(now_ms)
+                t2 = perf_counter()
                 lane.sample(now_ms)
-                profile["ue_tick"] = profile.get("ue_tick", 0.0) + t1 - t0
+                profile["physics"] = profile.get("physics", 0.0) + t1 - t0
+                profile["ue_tick"] = profile.get("ue_tick", 0.0) + t2 - t1
                 profile["ground_truth"] = (
-                    profile.get("ground_truth", 0.0) + perf_counter() - t1
+                    profile.get("ground_truth", 0.0) + perf_counter() - t2
                 )
             now_ms += self.tick_ms
         return DriveResult(

@@ -51,7 +51,12 @@ from repro.ue.measurement import (
 )
 from repro.ue.reporting import EventMonitor
 from repro.ue.legacy_reselection import LegacyReselectionEngine
-from repro.ue.reselection import ReselectionEngine, measurement_gates, rank_candidates
+from repro.ue.reselection import (
+    ReselectionColumns,
+    ReselectionEngine,
+    measurement_gates,
+    rank_candidates,
+)
 from repro.util import stable_hash
 
 
@@ -156,6 +161,10 @@ class UserEquipment:
         )
         self.meas = MeasurementEngine(env, self.rng, vectorized=vectorized)
         self.reselection = ReselectionEngine()
+        #: Eq. 3 columns of the vectorized idle ranking, rebuilt when the
+        #: serving config, the prepared cell set or the serving cell
+        #: changes.
+        self._rank_columns: ReselectionColumns | None = None
         self.legacy_reselection = LegacyReselectionEngine()
         self.monitor: EventMonitor | None = None
         self.state = RrcState.IDLE
@@ -477,18 +486,25 @@ class UserEquipment:
         )
         serving_meas = measured[serving.cell_id]
         self._emit_phy_meas(now_ms, serving_meas)
-        neighbors = [m for cid, m in measured.items() if cid != serving.cell_id]
-        if higher_priority_round:
-            ranked = [
-                r
-                for r in rank_candidates(self.serving_config, serving_meas, neighbors)
-                if r.priority_class == "higher"
-            ]
-            candidate = ranked[0] if ranked else None
+        config = self.serving_config
+        if isinstance(measured, MeasurementRound):
+            columns = self._rank_columns
+            if (
+                columns is None
+                or columns.config is not config
+                or columns.prepared is not measured.prepared
+                or columns.serving_cell is not serving
+            ):
+                columns = ReselectionColumns(config, measured.prepared, serving)
+                self._rank_columns = columns
+            ranked = columns.rank(serving_meas, measured)
         else:
-            candidate = self.reselection.step(
-                now_ms, self.serving_config, serving_meas, neighbors
-            )
+            neighbors = [m for cid, m in measured.items() if cid != serving.cell_id]
+            ranked = rank_candidates(config, serving_meas, neighbors)
+        if higher_priority_round:
+            candidate = next((r for r in ranked if r.priority_class == "higher"), None)
+        else:
+            candidate = self.reselection.step(now_ms, config, ranked)
         if candidate is None:
             return None
         target = candidate.cell

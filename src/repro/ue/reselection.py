@@ -14,16 +14,25 @@ pre-configured by the serving cell's SIBs:
   candidate's level clears thresh_x_low;
 * timing: the winning condition must hold continuously for
   t_reselection seconds before the device reselects.
+
+:func:`rank_candidates` applies the ranking neighbour by neighbour; it
+is the scalar oracle.  The device's vectorized path ranks a whole
+:class:`~repro.ue.measurement.MeasurementRound` through
+:class:`ReselectionColumns`, with the identical comparisons laid out as
+array passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.cellnet.cell import Cell, CellId
+from repro.cellnet.radio import PreparedCells
 from repro.cellnet.rat import RAT
 from repro.config.lte import LteCellConfig
-from repro.ue.measurement import FilteredMeasurement
+from repro.ue.measurement import FilteredMeasurement, MeasurementRound
 
 
 @dataclass(frozen=True)
@@ -166,6 +175,102 @@ def _thresh_low(config: LteCellConfig, cell: Cell) -> float | None:
     return None
 
 
+def _or_nan(value: float | None) -> float:
+    return np.nan if value is None else value
+
+
+class ReselectionColumns:
+    """Eq. 3's per-cell inputs as columns over one prepared cell list.
+
+    :func:`rank_candidates` looks up every neighbour's layer in the
+    serving configuration: its priority, threshX-high, threshX-low and
+    Qoffset.  Those lookups depend only on the neighbour's (RAT,
+    channel), so for one (serving config, prepared set, serving cell)
+    they are made once per channel group and spread over the cells.
+    Unknown layers and absent thresholds are NaN, which fails every
+    comparison, just as the scalar path skips them.
+    """
+
+    __slots__ = (
+        "config",
+        "prepared",
+        "serving_cell",
+        "priority",
+        "thresh_high",
+        "thresh_low",
+        "offset",
+        "_priorities",
+        "_group_index",
+    )
+
+    def __init__(self, config: LteCellConfig, prepared: PreparedCells, serving_cell: Cell):
+        self.config = config
+        self.prepared = prepared
+        self.serving_cell = serving_cell
+        group_index, n_groups = prepared.channel_groups
+        # Groups are numbered in order of first appearance, so the
+        # sorted unique ids line up with their first cells.
+        _, firsts = np.unique(group_index, return_index=True)
+        priorities: list[int | None] = []
+        groups = np.empty((4, n_groups))
+        for g, i in enumerate(firsts.tolist()):
+            cell = prepared.cells[i]
+            priority = config.priority_of_layer(cell.rat, cell.channel, serving_cell.channel)
+            priorities.append(priority)
+            if priority is None:
+                groups[:, g] = np.nan
+                continue
+            if _is_intra(cell, serving_cell):
+                offset = config.intra_neighbors.q_offset_cell
+            else:
+                offset = _freq_offset(config, cell)
+            groups[0, g] = priority
+            groups[1, g] = _or_nan(_thresh_high(config, cell))
+            groups[2, g] = _or_nan(_thresh_low(config, cell))
+            groups[3, g] = offset
+        self.priority, self.thresh_high, self.thresh_low, self.offset = groups[:, group_index]
+        self._priorities = priorities
+        self._group_index = group_index
+
+    def rank(
+        self, serving: FilteredMeasurement, measured: MeasurementRound
+    ) -> list[RankedCandidate]:
+        """:func:`rank_candidates` over every neighbour ``measured`` holds.
+
+        The three Eq. 3 rules run as array passes with the scalar
+        path's operands and operation order; a :class:`RankedCandidate`
+        is built only for the cells that out-rank the serving cell.
+        """
+        sc = self.config.serving
+        serving_priority = sc.cell_reselection_priority
+        rsrp = measured.rsrp
+        level = rsrp - sc.q_rx_lev_min
+        priority = self.priority
+        wins = (priority > serving_priority) & (level > self.thresh_high)
+        wins |= (priority == serving_priority) & (
+            rsrp > serving.rsrp_dbm + sc.q_hyst + self.offset
+        )
+        if _level(serving.rsrp_dbm, sc.q_rx_lev_min) < sc.thresh_serving_low_p:
+            wins |= (priority < serving_priority) & (level > self.thresh_low)
+        wins &= measured.mask
+        serving_i = self.prepared.index.get(serving.cell.cell_id)
+        if serving_i is not None:
+            wins[serving_i] = False
+        if not wins.any():
+            return []
+        group_index = self._group_index
+        ranked = [
+            RankedCandidate(
+                measured.measurement_at(i),
+                self._priorities[group_index[i]],
+                serving_priority,
+            )
+            for i in np.flatnonzero(wins).tolist()
+        ]
+        ranked.sort(key=lambda r: (-r.priority, -r.measurement.rsrp_dbm, r.cell.cell_id))
+        return ranked
+
+
 @dataclass
 class ReselectionEngine:
     """Applies Eq. 3 with the Treselection persistence requirement."""
@@ -181,11 +286,14 @@ class ReselectionEngine:
         self,
         now_ms: int,
         config: LteCellConfig,
-        serving: FilteredMeasurement,
-        neighbors: list[FilteredMeasurement],
+        ranked: list[RankedCandidate],
     ) -> RankedCandidate | None:
-        """One decision round; returns the reselection target, if any."""
-        ranked = rank_candidates(config, serving, neighbors)
+        """One decision round over this round's Eq. 3 ranking.
+
+        ``ranked`` is :func:`rank_candidates`' result (or the array
+        ranking of :meth:`ReselectionColumns.rank`); returns the
+        reselection target, if any.
+        """
         ranked_ids = {r.cell.cell_id for r in ranked}
         for stale in [cid for cid in self._winning_since if cid not in ranked_ids]:
             del self._winning_since[stale]

@@ -17,7 +17,7 @@ from repro.cellnet.world import RadioEnvironment
 from repro.simulate.fleet import FleetOptions, FleetSimulator
 from repro.simulate.mobility import parked_position
 from repro.simulate.runner import DriveSimulator, TickSample
-from repro.simulate.scenarios import ScenarioSpec
+from repro.simulate.scenarios import ScenarioSpec, drive_scenario
 from repro.simulate.throughput import ThroughputModel
 from repro.simulate.traffic import NoTraffic, Speedtest
 from repro.ue.measurement import MeasurementEngine, default_vectorized
@@ -48,15 +48,22 @@ def test_vectorized_drive_bit_identical(scenario, traffic_cls):
 
 def test_runner_reuses_ue_snapshot(scenario, monkeypatch):
     """Ground-truth sampling shares the tick's snapshot: one physics
-    pass per tick, not two."""
+    pass per tick, not two.  A pass is one ``snapshot`` call or one spot
+    handed to ``snapshot_batch`` (the look-ahead feed)."""
     calls = {"n": 0}
     orig = RadioEnvironment.snapshot
+    orig_batch = RadioEnvironment.snapshot_batch
 
     def counting(self, *args, **kwargs):
         calls["n"] += 1
         return orig(self, *args, **kwargs)
 
+    def counting_batch(self, spots, *args, **kwargs):
+        calls["n"] += len(spots)
+        return orig_batch(self, spots, *args, **kwargs)
+
     monkeypatch.setattr(RadioEnvironment, "snapshot", counting)
+    monkeypatch.setattr(RadioEnvironment, "snapshot_batch", counting_batch)
     result = _drive(scenario, True, Speedtest(), duration_s=60.0)
     assert calls["n"] == len(result.samples)
 
@@ -96,6 +103,32 @@ def test_lane_memos_match_unmemoized_recomputation(scenario, parked):
     assert result.samples == recomputed
 
 
+@pytest.mark.parametrize("kind", ["active", "idle", "parked"])
+def test_feed_leaves_prepared_cache_as_per_tick_snapshots(kind):
+    """The look-ahead feed queries its spots in tick order, so the
+    prepared-cell LRU ends up exactly as the scalar drive's per-tick
+    snapshots leave it: same grid keys in the same order, each built
+    from the same first query point (same cell set)."""
+    caches = []
+    for vectorized in (True, False):
+        # A fresh world per drive: the LRU starts empty.
+        world = drive_scenario("lafayette", seed=7, config_seed=2018)
+        if kind == "parked":
+            trajectory = parked_position(world.cities[0].origin, duration_s=60.0)
+        else:
+            trajectory = world.urban_trajectory(np.random.default_rng(99), duration_s=240.0)
+        traffic = NoTraffic() if kind == "idle" else Speedtest()
+        DriveSimulator(
+            world.env, world.server, "A", seed=3, vectorized=vectorized, config_lint=False,
+        ).run(trajectory, traffic)
+        caches.append(
+            [(key, prepared.cell_ids) for key, prepared in world.env._snapshot_cache.items()]
+        )
+    vector, scalar = caches
+    assert len(scalar) >= (1 if kind == "parked" else 10)
+    assert vector == scalar
+
+
 def test_fleet_occupancy_counts_sample_serving_cells():
     """The lanes' occupancy run-lengths equal a plain count of samples."""
     options = FleetOptions(
@@ -122,7 +155,7 @@ def test_profile_hook(scenario, monkeypatch):
     monkeypatch.setenv("REPRO_PROFILE", "1")
     result = _drive(scenario, True, Speedtest(), duration_s=30.0)
     assert result.profile is not None
-    for stage in ("ue_tick", "ground_truth", "measurement", "events"):
+    for stage in ("physics", "ue_tick", "ground_truth", "measurement", "events"):
         assert result.profile[stage] > 0.0
 
 

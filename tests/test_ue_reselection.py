@@ -126,13 +126,17 @@ def test_ranking_order_priority_then_rsrp():
 
 # -- Treselection ------------------------------------------------------------
 
+def _step(engine, now_ms, serving, neighbors):
+    return engine.step(now_ms, CONFIG, rank_candidates(CONFIG, serving, neighbors))
+
+
 def test_treselection_persistence():
     engine = ReselectionEngine()
     serving = _fm(SERVING_CELL, -100.0)
     winner = [_fm(_cell(2, channel=850), -94.0)]
-    assert engine.step(0, CONFIG, serving, winner) is None
-    assert engine.step(500, CONFIG, serving, winner) is None
-    chosen = engine.step(1000, CONFIG, serving, winner)
+    assert _step(engine, 0, serving, winner) is None
+    assert _step(engine, 500, serving, winner) is None
+    chosen = _step(engine, 1000, serving, winner)
     assert chosen is not None and chosen.cell.cell_id.gci == 2
 
 
@@ -141,16 +145,16 @@ def test_treselection_resets_when_candidate_drops():
     serving = _fm(SERVING_CELL, -100.0)
     winner = [_fm(_cell(2, channel=850), -94.0)]
     loser = [_fm(_cell(2, channel=850), -99.0)]
-    engine.step(0, CONFIG, serving, winner)
-    engine.step(500, CONFIG, serving, loser)   # no longer ranked: reset
-    assert engine.step(1000, CONFIG, serving, winner) is None
-    assert engine.step(2000, CONFIG, serving, winner) is not None
+    _step(engine, 0, serving, winner)
+    _step(engine, 500, serving, loser)   # no longer ranked: reset
+    assert _step(engine, 1000, serving, winner) is None
+    assert _step(engine, 2000, serving, winner) is not None
 
 
 def test_engine_reset():
     engine = ReselectionEngine()
     serving = _fm(SERVING_CELL, -100.0)
     winner = [_fm(_cell(2, channel=850), -94.0)]
-    engine.step(0, CONFIG, serving, winner)
+    _step(engine, 0, serving, winner)
     engine.reset()
-    assert engine.step(900, CONFIG, serving, winner) is None
+    assert _step(engine, 900, serving, winner) is None
