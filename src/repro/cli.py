@@ -570,17 +570,21 @@ def _run_fleet_sim(args: argparse.Namespace) -> int:
     from repro.simulate.fleet import FleetOptions, run_fleet
     from repro.simulate.scenarios import ScenarioSpec
 
-    options = FleetOptions(
-        scenario=ScenarioSpec(
-            name=args.scenario, seed=args.seed, config_seed=args.config_seed
-        ),
-        fleet_seed=args.fleet_seed,
-        n_ues=args.ues,
-        duration_s=args.duration,
-        tick_ms=args.tick_ms,
-        carriers=tuple(args.carriers) if args.carriers else ("A",),
-        traffic=args.traffic,
-    )
+    try:
+        options = FleetOptions(
+            scenario=ScenarioSpec(
+                name=args.scenario, seed=args.seed, config_seed=args.config_seed
+            ),
+            fleet_seed=args.fleet_seed,
+            n_ues=args.ues,
+            duration_s=args.duration,
+            tick_ms=args.tick_ms,
+            carriers=tuple(args.carriers) if args.carriers else ("A",),
+            traffic=args.traffic,
+        )
+    except ValueError as error:
+        print(f"repro fleet: error: {error}", file=sys.stderr)
+        return 2
     result = run_fleet(options, workers=args.workers)
     report = {
         "options": {

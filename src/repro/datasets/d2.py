@@ -53,8 +53,9 @@ class D2Options:
     """Build options for dataset D2.
 
     The defaults give a laptop-scale build (a few thousand cells).
-    ``extra_rings=3`` with ``n_volunteers=35`` approaches the paper's
-    32k-cell scale at a few minutes of build time.
+    ``extra_rings=3`` with ``n_volunteers=35`` (``paper_scale_d2_options``)
+    builds 6,653 cells and 2.64M samples at config seed 2018, against
+    the paper's 32,033 cells and 7,996,149 samples.
     """
 
     seed: int = 7

@@ -4,19 +4,28 @@
 sample", Section 5): one parameter value observed at one cell at one
 time.  ``HandoffInstance`` is D1's unit: one handoff with its decisive
 context and the performance series around it.
+
+Both are slotted: builds hold them by the hundred thousand, and none
+needs a per-instance ``__dict__``.  They still pickle, which the
+pipelines rely on to ship them between processes.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 #: The encoder ``json.dumps(obj, separators=(",", ":"))`` builds on every
 #: call, built once: the row encoders below produce the same bytes.
 _encode = json.JSONEncoder(separators=(",", ":")).encode
+#: Decodes one JSONL line.  ``parse_constant=float`` gives every ``NaN``
+#: and ``Infinity`` token its own float object: ``json.loads`` returns
+#: one module-wide NaN, which equals itself by identity, so containers
+#: holding it would merge NaNs that a built store keeps apart.
+_decode = json.JSONDecoder(parse_constant=float).decode
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConfigSample:
     """One observed configuration parameter value at one cell.
 
@@ -60,10 +69,8 @@ class ConfigSample:
 
     @classmethod
     def from_json(cls, line: str) -> "ConfigSample":
-        data = json.loads(line)
-        if isinstance(data.get("value"), list):
-            data["value"] = tuple(data["value"])
-        return cls(**data)
+        """Parse one JSONL line; ``sample_fields`` states its rules."""
+        return cls(*sample_fields(line))
 
     @property
     def value_key(self) -> object:
@@ -73,7 +80,52 @@ class ConfigSample:
         return self.value
 
 
-@dataclass(frozen=True)
+#: ``ConfigSample``'s keys in field order: the one key sequence a JSONL
+#: line may have.
+_SAMPLE_KEYS = tuple(f.name for f in fields(ConfigSample))
+#: The fields whose type a line must match exactly (``type(x) is t``, so
+#: a bool is no int): the types ``to_json`` writes for them.
+_FIELD_TYPES = {
+    "carrier": str, "gci": int, "rat": str, "channel": int, "city": str,
+    "parameter": str, "round_index": int,
+}
+
+
+def _tuples(items: list) -> tuple:
+    """A decoded JSON array as a tuple, nested arrays included."""
+    return tuple(_tuples(item) if type(item) is list else item for item in items)
+
+
+def sample_fields(line: str) -> tuple:
+    """The ``ConfigSample`` field values of one JSONL line.
+
+    The line must be one JSON object with exactly ``ConfigSample``'s
+    keys, in field order, holding strings for carrier, rat, city and
+    parameter and non-bool ints for gci, channel and round_index;
+    anything else raises ``ValueError``.  A list value becomes a tuple,
+    nested lists included, so a saved tuple reloads equal and hashable.
+    """
+    data = _decode(line)
+    if type(data) is not dict or tuple(data) != _SAMPLE_KEYS:
+        got = list(data) if type(data) is dict else type(data).__name__
+        raise ValueError(f"expected an object with keys {list(_SAMPLE_KEYS)}, got {got}")
+    carrier, gci, rat, channel, city, parameter, value, day, round_index = data.values()
+    if not (
+        type(carrier) is str and type(rat) is str and type(city) is str
+        and type(parameter) is str and type(gci) is int and type(channel) is int
+        and type(round_index) is int
+    ):
+        for name, kind in _FIELD_TYPES.items():
+            if type(data[name]) is not kind:
+                raise ValueError(
+                    f"{name} must be {kind.__name__}, got {data[name]!r}"
+                )
+    if type(value) is list:
+        value = _tuples(value)
+    return carrier, gci, rat, channel, city, parameter, value, day, round_index
+
+
+@dataclass(frozen=True, slots=True)
 class HandoffInstance:
     """One handoff instance in D1, as extracted from a device trace.
 

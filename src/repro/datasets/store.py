@@ -3,7 +3,7 @@
 The stores are deliberately simple append-and-scan containers: the
 paper's analyses are all full-population statistics (distributions,
 diversity indices, CDFs), so the useful operations are filtering and
-grouping, not point lookup.  Two concessions to scale:
+grouping, not point lookup.  Three concessions to scale:
 
 * ``ConfigSampleStore`` keeps one lazy index per filtered field
   (carrier, RAT, city, parameter), so the ``for_*`` filters and the
@@ -14,18 +14,23 @@ grouping, not point lookup.  Two concessions to scale:
   pipelined builders stream a harvest in without ever materializing
   the full archive, and ``save`` writes atomically (temp file +
   ``os.replace``) so a crashed build never leaves a torn JSONL behind.
+* ``ConfigSampleStore.load`` shares equal field values: it interns the
+  category strings and passes the other fields through one table per
+  load, so millions of reloaded samples point at a few thousand value
+  objects instead of each owning its own copies.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import tempfile
 from collections import defaultdict
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from repro.datasets.records import ConfigSample, HandoffInstance
+from repro.datasets.records import ConfigSample, HandoffInstance, sample_fields
 
 
 def _atomic_write_jsonl(path: str | Path, records: Iterable) -> None:
@@ -51,6 +56,31 @@ def _atomic_write_jsonl(path: str | Path, records: Iterable) -> None:
         except OSError:
             pass
         raise
+
+
+def _share_key(value: object) -> object:
+    """The key under which the loader shares ``value``, or None if never.
+
+    Keys tell exact types apart, so only values equal *and* of one type
+    share an object: ints and strings key as themselves (no int equals a
+    string), floats as ``float.hex`` (``0.0`` and ``-0.0`` stay apart,
+    and ``1.0`` apart from ``1``), bools and None tagged with their type,
+    tuples by their elements' keys.  A NaN, and any tuple holding one, is
+    never shared: a shared NaN equals itself by identity, so sharing it
+    would merge NaNs that ``unique_values`` counts apart.  Dicts are
+    unhashable and never shared either.
+    """
+    kind = type(value)
+    if kind is int or kind is str:
+        return value
+    if kind is float:
+        return None if value != value else (float, value.hex())
+    if kind is tuple:
+        keys = tuple(map(_share_key, value))
+        return None if None in keys else (tuple, keys)
+    if kind is bool or value is None:
+        return (kind, value)
+    return None
 
 
 class ConfigSampleStore:
@@ -177,13 +207,42 @@ class ConfigSampleStore:
 
     @classmethod
     def load(cls, path: str | Path) -> "ConfigSampleStore":
-        """Read a store from JSONL."""
+        """Read a store from JSONL, sharing equal field values.
+
+        Every non-blank line must be what ``ConfigSample.to_json`` writes
+        (``records.sample_fields`` states the rules); any other line
+        raises ``ValueError`` naming the file and line.  Carrier, RAT,
+        city and parameter are interned; gci, channel, value,
+        observed_day and round_index pass through one table per load
+        (see ``_share_key``), so equal values share one object.
+        """
         store = cls()
+        append = store._samples.append
+        share = {}.setdefault
+        intern = sys.intern
+
+        def shared(value: object) -> object:
+            key = _share_key(value)
+            return value if key is None else share(key, value)
+
         with open(path, encoding="utf-8") as f:
-            for line in f:
+            for lineno, line in enumerate(f, 1):
                 line = line.strip()
-                if line:
-                    store.add(ConfigSample.from_json(line))
+                if not line:
+                    continue
+                try:
+                    carrier, gci, rat, channel, city, parameter, value, day, round_index = (
+                        sample_fields(line)
+                    )
+                except ValueError as error:
+                    raise ValueError(f"{path}:{lineno}: {error}") from error
+                # gci, channel and round_index are checked ints, which
+                # key as themselves.
+                append(ConfigSample(
+                    intern(carrier), share(gci, gci), intern(rat),
+                    share(channel, channel), intern(city), intern(parameter),
+                    shared(value), shared(day), share(round_index, round_index),
+                ))
         return store
 
 

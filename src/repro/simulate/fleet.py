@@ -49,6 +49,7 @@ tick) simply takes the lane's own path.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -177,6 +178,16 @@ class FleetOptions:
     keep_samples: bool = False
     shard_size: int = 64
     config_lint: bool = False
+
+    def __post_init__(self) -> None:
+        if self.tick_ms <= 0:
+            raise ValueError(f"tick_ms must be positive, got {self.tick_ms}")
+        if self.n_ues < 0:
+            raise ValueError(f"n_ues must be non-negative, got {self.n_ues}")
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError(
+                f"duration_s must be positive and finite, got {self.duration_s}"
+            )
 
 
 @dataclass(frozen=True)

@@ -40,9 +40,12 @@ def profile_enabled() -> bool:
     return os.environ.get("REPRO_PROFILE", "0") not in ("", "0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TickSample:
-    """Per-tick ground truth: where the device was and what it got."""
+    """Per-tick ground truth: where the device was and what it got.
+
+    Slotted: a drive that keeps its samples holds one per tick.
+    """
 
     t_ms: int
     serving: CellId

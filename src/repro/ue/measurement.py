@@ -668,12 +668,6 @@ class BatchMeasurementState:
                 if n < last_n[r]:
                     raw_rsrp[r, n:last_n[r]] = pad
                     raw_rsrq[r, n:last_n[r]] = pad
-                    # Stale noise tails are multiplied by the row's std
-                    # every tick without being rewritten; left nonzero
-                    # they grow geometrically to overflow (and drag the
-                    # full-matrix ufuncs through non-finite values).
-                    noise_rsrp[r, n:last_n[r]] = 0.0
-                    noise_rsrq[r, n:last_n[r]] = 0.0
                 last_snap[r] = snap
                 last_n[r] = n
                 if prepared is not last_prepared[r]:
@@ -717,18 +711,19 @@ class BatchMeasurementState:
             profile["bs_loop"] = profile.get("bs_loop", 0.0) + now - t0
             t0 = now
         # Scaling the unit draws is the same multiply the per-engine
-        # path performs (z * std, z * (std / 2)); the noise rows are
-        # consumed destructively (rewritten with fresh draws next tick).
-        np.multiply(noise_rsrp, self._stds, out=noise_rsrp)
-        np.multiply(noise_rsrq, self._stds_half, out=noise_rsrq)
+        # path performs (z * std, z * (std / 2)), written into t1/t2:
+        # the noise rows keep their unit draws, so a row left out of
+        # this batch never compounds its scaling tick over tick.
         t1, t2, t3, t4 = self._t1, self._t2, self._t3, self._t4
+        np.multiply(noise_rsrp, self._stds, out=t1)
+        np.multiply(noise_rsrq, self._stds_half, out=t2)
         # minimum(maximum(...)) is the scalar clamp's exact op order.
         lo, hi = RSRP_RANGE_DBM
-        np.add(raw_rsrp, noise_rsrp, out=t1)
+        np.add(raw_rsrp, t1, out=t1)
         np.maximum(t1, lo, out=t1)
         np.minimum(t1, hi, out=t1)
         lo, hi = RSRQ_RANGE_DB
-        np.add(raw_rsrq, noise_rsrq, out=t2)
+        np.add(raw_rsrq, t2, out=t2)
         np.maximum(t2, lo, out=t2)
         np.minimum(t2, hi, out=t2)
         # where(has, (1-a)*prev + a*noisy, noisy), written back into the

@@ -1,4 +1,4 @@
-"""Property tests: the direct row encoders equal their ``asdict`` reference.
+"""Property tests of the dataset records and the D2 store's loader.
 
 ``ConfigSample.to_json``, ``HandoffInstance.to_json`` and
 ``Finding.to_dict`` build their dicts field by field instead of through
@@ -6,16 +6,32 @@
 conversion over awkward values: huge and negative ints, bools, NaN and
 infinities, -0.0, escapes, non-ASCII text, nested lists and tuples, and
 dicts.  Key order is part of the check.
+
+``ConfigSampleStore.load`` shares equal field values between samples
+and accepts only the lines ``to_json`` writes.  Its properties: a
+reloaded store equals the saved one field by field, exact types
+included, re-saves byte for byte, and shares every equal non-NaN value
+but never a NaN; malformed lines raise ``ValueError`` naming the line.
 """
 
 import json
 import math
-from dataclasses import asdict
+import pickle
+import re
+import struct
+import sys
+import tempfile
+from dataclasses import asdict, fields
+from pathlib import Path
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import example, given, strategies as st
 
+from repro.cellnet.cell import CellId
 from repro.datasets.records import ConfigSample, HandoffInstance
+from repro.datasets.store import ConfigSampleStore
 from repro.lint.findings import SEVERITIES, Finding
+from repro.simulate.runner import TickSample
 
 _ints = st.one_of(
     st.integers(),
@@ -90,3 +106,188 @@ def test_finding_to_dict_matches_asdict(**fields):
     finding = Finding(**fields)
     reference = {**asdict(finding), "fingerprint": finding.fingerprint}
     assert list(finding.to_dict().items()) == list(reference.items())
+
+
+# -- the D2 store's loader -----------------------------------------------------
+
+#: Loaded-sample fields the loader passes through its sharing table.
+_SHARED_FIELDS = ("gci", "channel", "value", "observed_day", "round_index")
+_CATEGORY_FIELDS = ("carrier", "rat", "city", "parameter")
+
+#: Values equal across types (``0 == 0.0 == -0.0 == False``, also inside
+#: tuples), which the loader must keep apart, and NaNs, which it must
+#: never share.
+_SCALAR_LOOKALIKES = [0, 0.0, -0.0, False, 1, 1.0, True, math.nan]
+_LOOKALIKES = _SCALAR_LOOKALIKES + [
+    (0,), (0.0,), (-0.0,), (False,), ((1,),), ((1.0,),), ((True,),),
+    (math.nan,), ((1, math.nan),),
+]
+#: One store holding every lookalike twice as a value, every scalar one
+#: as an observed_day, and 0/1 as gci, channel and round_index.
+_LOOKALIKE_STORE = [
+    ConfigSample(
+        carrier="A", gci=i % 2, rat="LTE", channel=1 - i % 2, city="X",
+        parameter="p", value=value,
+        observed_day=_SCALAR_LOOKALIKES[(i + 1) % len(_SCALAR_LOOKALIKES)],
+        round_index=i % 2,
+    )
+    for i, value in enumerate(_LOOKALIKES * 2)
+]
+_scalar_lookalikes = st.sampled_from(_SCALAR_LOOKALIKES)
+_lookalikes = st.sampled_from(_LOOKALIKES)
+_exact_ints = st.one_of(
+    st.sampled_from([0, 1]),
+    st.integers(min_value=-300, max_value=300),
+    st.integers(min_value=2**40, max_value=2**40 + 3),
+    st.integers(min_value=2**63, max_value=2**80),
+)
+_store_scalars = st.one_of(st.none(), _ints, _floats, _text)
+_store_values = st.one_of(
+    _lookalikes,
+    st.recursive(
+        _store_scalars,
+        lambda children: st.lists(children, max_size=4).map(tuple),
+        max_leaves=8,
+    ),
+)
+
+
+@st.composite
+def _stores(draw) -> list[ConfigSample]:
+    """Samples whose fields repeat, drawn from small per-field pools."""
+    def pool(values, size=4):
+        return draw(st.lists(values, min_size=1, max_size=size))
+
+    categories = pool(_text, 3)
+    ints = pool(_exact_ints)
+    values = pool(_store_values, 6)
+    days = pool(st.one_of(_scalar_lookalikes, _floats, _ints))
+    pick = st.sampled_from
+    return [
+        ConfigSample(
+            carrier=draw(pick(categories)), gci=draw(pick(ints)),
+            rat=draw(pick(categories)), channel=draw(pick(ints)),
+            city=draw(pick(categories)), parameter=draw(pick(categories)),
+            value=draw(pick(values)), observed_day=draw(pick(days)),
+            round_index=draw(pick(ints)),
+        )
+        for _ in range(draw(st.integers(min_value=1, max_value=12)))
+    ]
+
+
+def _canon(value) -> object:
+    """Exact type and value; floats by their bits, every NaN alike."""
+    kind = type(value)
+    if kind is tuple or kind is list:
+        return (kind.__name__, tuple(map(_canon, value)))
+    if kind is dict:
+        return ("dict", tuple((key, _canon(item)) for key, item in value.items()))
+    if kind is float:
+        return ("float", "nan" if math.isnan(value) else struct.pack("<d", value))
+    return (kind.__name__, value)
+
+
+def _canon_fields(record) -> list:
+    return [_canon(getattr(record, f.name)) for f in fields(record)]
+
+
+def _nans(value) -> list[float]:
+    """Every NaN float in ``value``, inside tuples too."""
+    if type(value) is tuple:
+        return [nan for item in value for nan in _nans(item)]
+    return [value] if type(value) is float and math.isnan(value) else []
+
+
+def _reload(samples: list[ConfigSample]) -> tuple[bytes, ConfigSampleStore, bytes]:
+    """Save, load and re-save; the saved and re-saved bytes and the load."""
+    with tempfile.TemporaryDirectory() as tmp:
+        saved, resaved = Path(tmp) / "saved.jsonl", Path(tmp) / "resaved.jsonl"
+        ConfigSampleStore(samples).save(saved)
+        loaded = ConfigSampleStore.load(saved)
+        loaded.save(resaved)
+        return saved.read_bytes(), loaded, resaved.read_bytes()
+
+
+@example(samples=_LOOKALIKE_STORE)
+@given(samples=_stores())
+def test_store_reload_is_exact_and_resaves_byte_identically(samples):
+    saved, loaded, resaved = _reload(samples)
+    assert resaved == saved
+    assert list(map(_canon_fields, loaded)) == list(map(_canon_fields, samples))
+
+
+@example(samples=_LOOKALIKE_STORE)
+@given(samples=_stores())
+def test_store_reload_shares_equal_values_but_never_nan(samples):
+    _, loaded, _ = _reload(samples)
+    first: dict = {}
+    nan_ids: list[int] = []
+    for sample in loaded:
+        for name in _CATEGORY_FIELDS:
+            text = getattr(sample, name)
+            assert text is sys.intern(text)
+        for name in _SHARED_FIELDS:
+            value = getattr(sample, name)
+            nans = _nans(value)
+            if nans:
+                nan_ids.extend(map(id, nans))
+                continue
+            assert first.setdefault(_canon(value), value) is value
+    assert len(set(nan_ids)) == len(nan_ids)
+
+
+@given(
+    record=st.one_of(
+        _stores().map(lambda samples: samples[0]),
+        st.builds(
+            HandoffInstance, kind=_text, carrier=_text, time_ms=_ints,
+            source_gci=_ints, target_gci=_ints, source_channel=_ints,
+            target_channel=_ints, intra_freq=st.booleans(),
+            rsrp_before=st.one_of(st.none(), _floats),
+            decisive_config=st.dictionaries(_text, _scalars, max_size=3),
+        ),
+        st.builds(
+            TickSample, t_ms=_ints, serving=st.builds(CellId, _text, _ints),
+            rsrp_dbm=_floats, sinr_db=_floats, capacity_bps=_floats,
+            delivered_bps=_floats, interrupted=st.booleans(),
+        ),
+    )
+)
+def test_records_are_slotted_and_pickle_back_equal(record):
+    assert not hasattr(record, "__dict__")
+    restored = pickle.loads(pickle.dumps(record))
+    assert type(restored) is type(record)
+    assert _canon_fields(restored) == _canon_fields(record)
+
+
+_GOOD = json.loads(ConfigSample(
+    carrier="A", gci=18, rat="LTE", channel=6225, city="Paris",
+    parameter="q_hyst", value=4.0, observed_day=429.5, round_index=0,
+).to_json())
+
+
+def _line(data) -> str:
+    return json.dumps(data, separators=(",", ":"))
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        pytest.param(_line({k: v for k, v in _GOOD.items() if k != "round_index"}),
+                     id="missing-key"),
+        pytest.param(_line({**_GOOD, "extra": 1}), id="extra-key"),
+        pytest.param(_line({"gci": 18, **_GOOD}), id="reordered-keys"),
+        pytest.param(_line(list(_GOOD.values())), id="array"),
+        pytest.param(_line({**_GOOD, "gci": "18"}), id="gci-string"),
+        pytest.param(_line({**_GOOD, "gci": True}), id="gci-bool"),
+    ],
+)
+def test_malformed_store_lines_raise_value_error_naming_the_line(tmp_path, line):
+    good = _line(_GOOD)
+    assert ConfigSample.from_json(good).to_json() == good
+    with pytest.raises(ValueError):
+        ConfigSample.from_json(line)
+    path = tmp_path / "d2.jsonl"
+    path.write_text(f"{good}\n\n{line}\n{good}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "):
+        ConfigSampleStore.load(path)

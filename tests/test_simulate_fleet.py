@@ -9,10 +9,12 @@ matter the fleet size, the worker count, or whether the batched
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core.analysis.instability import detect_instability
 from repro.datasets.records import HandoffInstance
 from repro.rrc.diag import DiagWriter
@@ -52,6 +54,34 @@ def _options(**overrides) -> FleetOptions:
 def fleet_results():
     options = _options()
     return options, FleetSimulator(options.scenario.build(), options).simulate()
+
+
+# -- option validation ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name,value,argv",
+    [
+        ("tick_ms", -200, ["--tick-ms", "-200"]),
+        ("tick_ms", 0, ["--tick-ms", "0"]),
+        ("duration_s", 0.0, ["--duration", "0"]),
+        ("duration_s", math.inf, ["--duration", "inf"]),
+        ("duration_s", math.nan, ["--duration", "nan"]),
+        ("n_ues", -3, ["--ues", "-3"]),
+    ],
+)
+def test_out_of_range_options_are_usage_errors(name, value, argv, tmp_path, capsys):
+    with pytest.raises(ValueError, match=name):
+        _options(**{name: value})
+    out = tmp_path / "fleet.json"
+    assert main(["fleet", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_empty_fleet_is_valid():
+    assert _options(n_ues=0).n_ues == 0
 
 
 # -- population assignment ------------------------------------------------

@@ -1,10 +1,12 @@
 """Tests for the UE measurement engine."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.cellnet.rat import RAT
-from repro.ue.measurement import MeasurementEngine
+from repro.ue.measurement import BatchMeasurementState, MeasurementEngine
 
 
 @pytest.fixture(params=[True, False], ids=["vectorized", "scalar"])
@@ -104,3 +106,27 @@ def test_metric_accessor(engine, serving, scenario):
     assert fm.metric("rsrq") == fm.rsrq_db
     with pytest.raises(ValueError):
         fm.metric("bogus")
+
+
+def test_batch_row_left_out_keeps_its_noise_bounded(env, serving, scenario):
+    """A row left out of a step keeps its unit noise draws.
+
+    Scaled in place instead, a skipped row would compound its std
+    (1.8 dB) every step and overflow to inf within ~1,200 steps.
+    """
+    origin = scenario.cities[0].origin
+    engines = [
+        MeasurementEngine(env, np.random.default_rng(seed), vectorized=True)
+        for seed in (1, 2)
+    ]
+    snaps = [engine.snapshot(origin, "A") for engine in engines]
+    state = BatchMeasurementState(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        state.step([0, 1], engines, snaps, [serving, serving])
+        state.detach(engines[1])
+        for _ in range(1300):
+            state.step([0], engines[:1], snaps[:1], [serving])
+    for noise in (state._noise_rsrp, state._noise_rsrq):
+        assert np.isfinite(noise).all()
+        assert np.abs(noise[1]).max() < 10.0
