@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as np
 
@@ -35,6 +35,9 @@ from repro.config.units import (
     REPORT_INTERVAL_MS,
     TIME_TO_TRIGGER_MS,
 )
+
+if TYPE_CHECKING:
+    from repro.config.lte import MeasurementConfig
 
 
 class EventType(enum.Enum):
@@ -228,8 +231,9 @@ class EventColumns(NamedTuple):
     """Entry parameters of one event type for many UEs, as columns.
 
     Stands in for an :class:`EventConfig` in :func:`entry_mask`: each
-    parameter is an ``(m, 1)`` column whose row ``k`` is member ``k``'s
-    value (absent thresholds as 0.0; their events never read them).
+    parameter is an array that broadcasts against the serving and
+    neighbor operands, one element per armed event (absent thresholds
+    as NaN; their events never read them).
     """
 
     event: EventType
@@ -238,25 +242,26 @@ class EventColumns(NamedTuple):
     threshold2: np.ndarray
     offset: np.ndarray
 
-    @classmethod
-    def from_matrix(cls, event: EventType, params: np.ndarray) -> EventColumns:
-        """Columns of an ``(m, 4)`` matrix of
-        ``[hysteresis, threshold1, threshold2, offset]`` rows."""
-        return cls(event, params[:, 0:1], params[:, 1:2], params[:, 2:3], params[:, 3:4])
-
 
 def entry_mask(config: EventConfig | EventColumns, serving: Any, neighbors: Any) -> Any:
     """Vectorized :func:`evaluate_entry`.
 
     Takes one :class:`EventConfig` with ``serving`` a float and
-    ``neighbors`` a candidate-value array, or :class:`EventColumns` with
-    ``serving`` an ``(m, 1)`` column and ``neighbors`` an
-    ``(m, cells)`` matrix.  Neighbor-triggered events (A3-A6, B1, B2)
-    return the mask over ``neighbors``; the serving-only A1/A2 ignore
+    ``neighbors`` a candidate-value array, or :class:`EventColumns`
+    with ``serving`` and ``neighbors`` arrays that broadcast against
+    the columns.  Neighbor-triggered events (A3-A6, B1, B2) return the
+    mask over ``neighbors``; the serving-only A1/A2 ignore
     ``neighbors`` and return the serving's shape.  The comparisons are
     written exactly as the scalar evaluator's and broadcast unchanged
-    over the member axis, so every row agrees with :func:`evaluate_entry`
-    bit for bit.
+    over the member axis, so every element agrees with
+    :func:`evaluate_entry` bit for bit.
+
+    Every neighbor condition reads ``neighbors - hys > x``, and
+    ``v -> fl(v - hys)`` is monotone (rounding preserves order), so the
+    condition holds for *some* candidate exactly when it holds for the
+    candidates' maximum.  :class:`EventTable` relies on this: fed each
+    row's candidate maximum (``-inf`` for no candidate), one call
+    decides "any candidate enters" for every row at once.
     """
     e, hys = config.event, config.hysteresis
     if e is EventType.A1:
@@ -270,3 +275,124 @@ def entry_mask(config: EventConfig | EventColumns, serving: Any, neighbors: Any)
     if e in (EventType.A5, EventType.B2):
         return (serving + hys < config.threshold1) & (neighbors - hys > config.threshold2)
     raise NotImplementedError(f"event {e.value} has no entry mask")
+
+
+#: Trigger quantity -> leading (metric) axis of :class:`EventTable`.
+METRIC_AXIS = {"rsrp": 0, "rsrq": 1}
+
+#: Event types :func:`entry_mask` evaluates.
+_MASKED_EVENTS = frozenset(
+    (EventType.A1, EventType.A2, EventType.A3, EventType.A4,
+     EventType.A5, EventType.A6, EventType.B1, EventType.B2)
+)
+
+
+class EventTable:
+    """The armed entry conditions of many rows, as per-type columns.
+
+    Row ``r`` holds one measConfig: its s-Measure and its events.  Each
+    armed event type keeps ``(metric, row, slot)`` parameter columns:
+    metric 0 is RSRP and 1 is RSRQ, and slot ``k`` is the row's
+    ``k``-th event of that type on that metric.  An unarmed slot has a
+    NaN hysteresis, which fails every comparison :func:`entry_mask`
+    makes.
+
+    :meth:`entry_rows` decides for every row at once whether some armed
+    event's entry condition holds for some candidate.  That is all a
+    quiet-tick proof needs, and it runs one :func:`entry_mask` call per
+    armed event type over each row's candidate maximum.
+    """
+
+    def __init__(self, n_rows: int):
+        self.n_rows = n_rows
+        self.s_measure = np.full(n_rows, np.nan)
+        #: Per event type: ``(4, 2, n_rows, slots)`` parameters
+        #: (hysteresis, threshold1, threshold2, offset) and their
+        #: :class:`EventColumns` views.
+        self._params: dict[EventType, np.ndarray] = {}
+        self._columns: dict[EventType, EventColumns] = {}
+        self._armed: dict[EventType, int] = {}
+        #: Per row: the (event type, metric, slot) cells it fills.
+        self._slots: list[tuple] = [()] * n_rows
+
+    def set_row(self, row: int, meas_config: MeasurementConfig | None) -> None:
+        """Arm row ``row`` with a measConfig's events (None: none).
+
+        Raises ``NotImplementedError`` for an event :func:`entry_mask`
+        cannot evaluate; periodic reporting belongs in
+        ``MeasurementConfig.periodic``, not in the event list.
+        """
+        self.clear_row(row)
+        if meas_config is None:
+            return
+        for config in meas_config.events:
+            if config.event not in _MASKED_EVENTS:
+                raise NotImplementedError(f"event {config.event.value} has no entry mask")
+        self.s_measure[row] = meas_config.s_measure
+        slots: list[tuple[EventType, int, int]] = []
+        for config in meas_config.events:
+            event = config.event
+            metric = METRIC_AXIS[config.metric]
+            slot = sum(1 for e, m, _ in slots if e is event and m == metric)
+            params = self._params.get(event)
+            if params is None or slot >= params.shape[3]:
+                params = self._widen(event, slot + 1)
+            params[:, metric, row, slot] = (
+                config.hysteresis,
+                np.nan if config.threshold1 is None else config.threshold1,
+                np.nan if config.threshold2 is None else config.threshold2,
+                config.offset,
+            )
+            self._armed[event] += 1
+            slots.append((event, metric, slot))
+        self._slots[row] = tuple(slots)
+
+    def clear_row(self, row: int) -> None:
+        """Disarm every event of row ``row``."""
+        for event, metric, slot in self._slots[row]:
+            self._params[event][:, metric, row, slot] = np.nan
+            self._armed[event] -= 1
+        self._slots[row] = ()
+        self.s_measure[row] = np.nan
+
+    def _widen(self, event: EventType, slots: int) -> np.ndarray:
+        params = np.full((4, 2, self.n_rows, slots), np.nan)
+        old = self._params.get(event)
+        if old is None:
+            self._armed[event] = 0
+        else:
+            params[:, :, :, : old.shape[3]] = old
+        self._params[event] = params
+        self._columns[event] = EventColumns(event, *params)
+        return params
+
+    def entry_rows(
+        self, serving: np.ndarray, values: np.ndarray, candidates: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(entered, gate_open)`` per row for one measurement round.
+
+        ``serving`` is the ``(2, rows)`` serving-cell [RSRP, RSRQ];
+        ``values`` the ``(2, rows, cells)`` measured values and
+        ``candidates`` the ``(2, rows, cells)`` [intra-RAT, inter-RAT]
+        neighbor masks.  A row's gate is open when its serving RSRP is
+        at most its s-Measure; a closed gate leaves its neighbor events
+        no candidates, as in
+        :meth:`~repro.ue.reporting.EventMonitor.step_round`.  Row
+        ``r`` has entered exactly when some armed event's
+        :func:`entry_mask` holds for the serving value alone (A1/A2) or
+        for one of its candidates: each neighbor event reads the row's
+        candidate maximum, which is exact by the monotonicity argument
+        in :func:`entry_mask`.
+        """
+        gate = serving[0] <= self.s_measure
+        # (metric, class, row) candidate maxima, -inf where none.
+        maxima = np.where(candidates[None], values[:, None], -np.inf)
+        maxima = maxima.max(axis=3, initial=-np.inf)
+        maxima = np.where(gate, maxima, -np.inf)[..., None]
+        serving = serving[:, :, None]
+        entered = np.zeros(self.n_rows, dtype=bool)
+        for event, columns in self._columns.items():
+            if self._armed[event]:
+                entry = entry_mask(columns, serving, maxima[:, int(event.is_inter_rat)])
+                entered |= entry.any(axis=(0, 2))
+        return entered, gate

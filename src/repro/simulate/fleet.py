@@ -17,16 +17,22 @@ runs all UEs in lockstep and batches the per-tick hot path:
   (:meth:`~repro.cellnet.world.RadioEnvironment.reserve_snapshot_capacity`).
 * **Batched measurement rounds** — the L3 filter state of every
   batched UE, whatever neighborhood it lives in, is promoted to
-  persistent (UE x cell) matrices updated in place each tick
+  persistent (metric x UE x cell) matrices updated in place each tick
   (:class:`~repro.ue.measurement.BatchMeasurementState`); rounds are
   materialized only for lanes whose tick consumes one.
-* **Batched event evaluation** — lanes are grouped by armed-event
-  signature and each event's entry condition is evaluated as one
-  masked (UE x cell) pass of the solo path's own
-  :func:`~repro.config.events.entry_mask`, fed per-member parameter
-  columns; ticks proven no-ops take
-  :meth:`~repro.ue.device.UserEquipment.quiet_tick`, skipping the
-  per-lane event machinery entirely.
+* **One batch-wide event pass** — every batched UE's armed events are
+  columns of one :class:`~repro.config.events.EventTable`, refreshed
+  only when a UE's monitor changes, and one pass of the solo path's
+  own :func:`~repro.config.events.entry_mask` per armed event type,
+  fed each UE's candidate maxima, proves which ticks are no-ops.
+  Those take :meth:`~repro.ue.device.UserEquipment.quiet_tick`,
+  skipping the per-lane event machinery entirely; the rest run
+  :meth:`~repro.ue.reporting.EventMonitor.step_round` themselves.
+* **Steady lanes** — a batched lane whose last tick was quiet skips
+  the batch-membership check and the per-row validity checks: a quiet
+  tick changes nothing they re-derive.  Of a steady lane's row, only a
+  mover's raw metrics are refreshed, and a mover that enters another
+  prepared neighbourhood takes the full check again.
 * **Sharding** — fleets split into :class:`FleetShardUnit` work units
   over :mod:`repro.pipeline` workers; per-UE seeds come from
   ``numpy.random.SeedSequence.spawn``, so every UE's seed and profile
@@ -58,7 +64,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.cellnet.rat import RAT
-from repro.config.events import EventColumns, entry_mask
+from repro.config.events import EventTable
 from repro.pipeline import WorkUnit, default_workers, resolve_backend
 from repro.simulate.mobility import Trajectory, grid_drive, parked_position
 from repro.simulate.runner import (
@@ -68,7 +74,12 @@ from repro.simulate.runner import (
     TickSample,
     profile_enabled,
 )
-from repro.simulate.scenarios import DriveScenario, ScenarioSpec
+from repro.simulate.scenarios import (
+    SCENARIO_CARRIERS,
+    DriveScenario,
+    ScenarioSpec,
+    scenario_cities,
+)
 from repro.simulate.traffic import (
     ConstantRate,
     NoTraffic,
@@ -77,7 +88,7 @@ from repro.simulate.traffic import (
     TrafficModel,
 )
 from repro.ue.device import HandoffEvent, RrcState
-from repro.ue.measurement import BatchMeasurementState, MeasurementRound
+from repro.ue.measurement import BatchMeasurementState
 
 #: Default population mix: mostly parked devices, a transit-riding
 #: share, some pedestrians and drivers — a plausible daytime urban mix.
@@ -87,6 +98,9 @@ DEFAULT_MIX: tuple[tuple[str, float], ...] = (
     ("pedestrian", 0.10),
     ("vehicle", 0.10),
 )
+
+#: Behaviour profiles a population mix may name.
+_PROFILES = ("parked", "transit", "pedestrian", "vehicle")
 
 _PROFILE_SPEEDS_KMH = {"pedestrian": 5.0, "vehicle": 40.0, "transit": 30.0}
 
@@ -100,44 +114,21 @@ _PROFILE_BLOCK_M = {"pedestrian": 100.0, "vehicle": 450.0, "transit": 450.0}
 PING_PONG_WINDOW_MS = 10_000
 
 
-def _monitor_batch_info(meas_config) -> tuple:
-    """Grouping key and parameter matrix for the batched event pass.
-
-    Returns ``(signature, params, s_measure, periodic)`` where
-    ``signature`` is the armed ``(event, metric)`` tuple — the batch
-    groups lanes by it — and ``params`` is an ``(events, 4)`` float
-    matrix of ``[hysteresis, threshold1, threshold2, offset]`` rows, the
-    layout of :meth:`EventColumns.from_matrix` (absent thresholds as
-    0.0; their events never read them).
-    """
-    events = meas_config.events
-    signature = tuple((c.event, c.metric) for c in events)
-    params = np.array(
-        [
-            [
-                c.hysteresis,
-                0.0 if c.threshold1 is None else c.threshold1,
-                0.0 if c.threshold2 is None else c.threshold2,
-                c.offset,
-            ]
-            for c in events
-        ],
-        dtype=np.float64,
-    ).reshape(len(events), 4)
-    return signature, params, meas_config.s_measure, meas_config.periodic
+#: Data services by name (``FleetOptions.traffic``).
+TRAFFIC_MODELS: dict[str, type[TrafficModel]] = {
+    "speedtest": Speedtest,
+    "iperf": ConstantRate,
+    "ping": Ping,
+    "idle": NoTraffic,
+}
 
 
 def make_traffic(name: str) -> TrafficModel:
     """A fresh traffic-model instance by service name."""
-    if name == "speedtest":
-        return Speedtest()
-    if name == "iperf":
-        return ConstantRate()
-    if name == "ping":
-        return Ping()
-    if name == "idle":
-        return NoTraffic()
-    raise ValueError(f"unknown traffic model {name!r}")
+    model = TRAFFIC_MODELS.get(name)
+    if model is None:
+        raise ValueError(f"unknown traffic model {name!r}")
+    return model()
 
 
 @dataclass(frozen=True)
@@ -187,6 +178,32 @@ class FleetOptions:
         if not 0 < self.duration_s < math.inf:
             raise ValueError(
                 f"duration_s must be positive and finite, got {self.duration_s}"
+            )
+        if self.transit_lines < 1:
+            raise ValueError(f"transit_lines must be at least 1, got {self.transit_lines}")
+        try:
+            scenario_cities(self.scenario.name)
+        except ValueError as error:
+            raise ValueError(f"scenario: {error}") from None
+        if not self.carriers:
+            raise ValueError("carriers must name at least one carrier")
+        for carrier in self.carriers:
+            if carrier not in SCENARIO_CARRIERS:
+                raise ValueError(
+                    f"carriers must be deployed in drive scenarios "
+                    f"({', '.join(SCENARIO_CARRIERS)}), got {carrier!r}"
+                )
+        for profile, weight in self.mix:
+            if profile not in _PROFILES:
+                raise ValueError(
+                    f"mix profiles must be {', '.join(_PROFILES)}, got {profile!r}"
+                )
+            if not 0 <= weight < math.inf:
+                raise ValueError(f"mix weights must be non-negative and finite, got {weight!r}")
+        mix_pattern(self.mix)
+        if self.traffic not in TRAFFIC_MODELS:
+            raise ValueError(
+                f"traffic must be one of {', '.join(TRAFFIC_MODELS)}, got {self.traffic!r}"
             )
 
 
@@ -556,12 +573,18 @@ class FleetSimulator:
         # need the per-tick position/spot passes.
         movers = [lane for lane in active if not lane.static]
         n_static_spots = len(active) - len(movers)
-        # Persistent (UE x cell) measurement matrices; each lane owns
-        # one row for the whole lockstep run.
-        batch_state = BatchMeasurementState(len(lanes))
-        batch_state.profile = profile
+        # Persistent batch rows; each lane owns one for the whole run.
+        batch = _Batch(len(lanes), profile)
         for row, lane in enumerate(lanes):
             lane.row = row
+        # Lanes whose last tick was not quiet: their batch membership
+        # and row facts are re-derived this tick.  Every other lane is
+        # *steady* — batched, and quiet last tick — and a quiet tick
+        # changes nothing those checks re-derive, so steady lanes skip
+        # them; of their rows, only movers' raw metrics are refreshed.
+        unsettled = list(lanes)
+        steady_movers: list[DriveLane] = []
+        next_end = min((lane.trajectory.duration_ms for lane in active), default=0)
         while active:
             t0 = perf_counter() if profile is not None else 0.0
             # Snapshot sharing: one physics pass per occupied
@@ -590,14 +613,24 @@ class FleetSimulator:
                 now = perf_counter()
                 profile["fleet_physics"] = profile.get("fleet_physics", 0.0) + now - t0
                 t0 = now
-            # One batched measurement + event pass over all eligible
-            # lanes, whatever neighborhood each lives in.  A previously
-            # batched lane that drops out (handover due, idle, RLF) is
-            # detached first: the batch matrices update in place, so its
-            # engine must own private arrays before the batch steps on
-            # without it.
-            batch: list[DriveLane] = []
-            for lane in active:
+            # Batch membership of the unsettled lanes.  A batched lane
+            # that drops out (handover due, idle, RLF) is detached first:
+            # the batch matrices update in place, so its engine must own
+            # private arrays before the batch steps on without it.
+            state = batch.state
+            checked: list[DriveLane] = []
+            # A steady mover that drove into another prepared
+            # neighbourhood takes the full check: whether its serving
+            # cell is audible there is a fact of place, which a quiet
+            # tick does not keep.
+            neighborhoods = batch.neighborhoods
+            mover_rows: list[int] = []
+            for lane in steady_movers:
+                if lane.ue.meas._snap.prepared is neighborhoods[lane.row]:
+                    mover_rows.append(lane.row)
+                else:
+                    checked.append(lane)
+            for lane in unsettled:
                 ue = lane.ue
                 command = ue.pending_handover
                 if (
@@ -607,212 +640,174 @@ class FleetSimulator:
                     and ue.meas.vectorized
                     and not (command is not None and now_ms >= command.execute_at_ms)
                 ):
-                    # The spots pass above (or the initial camp, for
-                    # parked lanes) set every lane's snapshot memo, so
-                    # _batch_step can read meas._snap directly.
-                    batch.append(lane)
                     lane.batched = True
+                    checked.append(lane)
                 elif lane.batched:
                     lane.batched = False
-                    batch_state.detach(ue.meas)
-            if batch:
-                self._batch_step(now_ms, batch, batch_state)
+                    state.detach(lane.row)
+            quiet: list = []
+            if checked or state.n_attached:
+                # One batched measurement round over every batched lane,
+                # whatever neighborhood each lives in.  The spots pass
+                # above (or the initial camp, for parked lanes) set every
+                # lane's snapshot memo.
+                t1 = perf_counter() if profile is not None else 0.0
+                filtered, _ = state.step(
+                    [lane.row for lane in checked],
+                    [lane.ue.meas for lane in checked],
+                    [lane.ue.meas._snap for lane in checked],
+                    [lane.ue.serving for lane in checked],
+                    mover_rows,
+                )
+                if profile is not None:
+                    now = perf_counter()
+                    profile["fb_state"] = profile.get("fb_state", 0.0) + now - t1
+                    t1 = now
+                for lane in checked:
+                    batch.refresh(lane)
+                quiet, serving_rsrp, serving_rsrq = batch.quiet_rows(now_ms, filtered)
+                if profile is not None:
+                    profile["fb_events"] = profile.get("fb_events", 0.0) + perf_counter() - t1
             if profile is not None:
                 now = perf_counter()
                 profile["fleet_batch"] = profile.get("fleet_batch", 0.0) + now - t0
                 t0 = now
-            # Per-lane tick: consumes the pending rounds and injected
-            # masks; lanes outside the batch take the normal path.
+            # Per-lane tick.  A quiet lane only bumps counters (plus a
+            # due PHY emission); a batched lane that is not quiet takes
+            # the UE's full step over the batch's round, which its
+            # engine consumes instead of measuring again.
+            unsettled = []
+            steady_movers = []
             for lane in active:
-                lane.tick(now_ms)
+                if lane.batched:
+                    row = lane.row
+                    if quiet[row]:
+                        lane.quiet_tick(now_ms, serving_rsrp[row], serving_rsrq[row])
+                        if not lane.static:
+                            steady_movers.append(lane)
+                    else:
+                        lane.ue.meas._pending_round = state.round_at(row)
+                        lane.tick(now_ms)
+                        unsettled.append(lane)
+                else:
+                    lane.tick(now_ms)
+                    unsettled.append(lane)
                 lane.sample(now_ms)
             if profile is not None:
                 profile["fleet_lanes"] = profile.get("fleet_lanes", 0.0) + perf_counter() - t0
             now_ms += options.tick_ms
             tick_index += 1
-            if any(now_ms > lane.trajectory.duration_ms for lane in active):
-                active = [
-                    lane for lane in active if now_ms <= lane.trajectory.duration_ms
-                ]
-                movers = [lane for lane in active if not lane.static]
-                n_static_spots = len(active) - len(movers)
-                # Compact the batch matrices when the fleet shrinks: the
-                # ufunc phase runs over every allocated row, so a long
-                # mover tail after the parked lanes finish would keep
-                # paying full-fleet matrix passes.  A fresh state's
-                # identity checks refresh each surviving row from its
-                # engine (whose old row views stay valid — the abandoned
-                # buffers are never written again), so rebuilding changes
-                # no UE-visible value.
-                if active and len(active) < 0.7 * batch_state.n_rows:
-                    batch_state = BatchMeasurementState(len(active))
-                    batch_state.profile = profile
-                    for row, lane in enumerate(active):
-                        lane.row = row
+            if now_ms <= next_end:
+                continue
+            finished = {lane.row for lane in active if now_ms > lane.trajectory.duration_ms}
+            for lane in active:
+                if lane.row in finished:
+                    batch.release(lane.row)
+            active = [lane for lane in active if lane.row not in finished]
+            movers = [lane for lane in active if not lane.static]
+            n_static_spots = len(active) - len(movers)
+            unsettled = [lane for lane in unsettled if lane.row not in finished]
+            steady_movers = [lane for lane in steady_movers if lane.row not in finished]
+            next_end = min((lane.trajectory.duration_ms for lane in active), default=0)
+            # Compact the batch rows when the fleet shrinks: the ufunc
+            # phase runs over every allocated row, so a long mover tail
+            # after the parked lanes finish would keep paying full-fleet
+            # matrix passes.  Closing the old state detaches every row
+            # (engines keep their filter state), so every lane takes its
+            # full check in the new one and no UE-visible value changes.
+            if active and len(active) < 0.7 * state.n_rows:
+                state.close()
+                batch = _Batch(len(active), profile)
+                for row, lane in enumerate(active):
+                    lane.row = row
+                    lane.batched = False
+                unsettled = list(active)
+                steady_movers = []
         return [
             _ue_result(spec, lane, options.keep_samples)
             for spec, lane in zip(specs, lanes)
         ]
 
-    def _batch_step(
-        self, now_ms: int, group: list[DriveLane], state: BatchMeasurementState
-    ) -> None:
-        """Advance every batched UE of this tick in matrix form."""
-        snaps = [lane.ue.meas._snap for lane in group]
-        engines = [lane.ue.meas for lane in group]
-        servings = [lane.ue.serving for lane in group]
-        # Matrices are indexed by each lane's persistent row, not its
-        # position in this tick's batch: ``rows[gi]`` maps between them.
-        rows = [lane.row for lane in group]
-        profile = self.profile
-        t0 = perf_counter() if profile is not None else 0.0
-        filt_rsrp, filt_rsrq, eligible = state.step(rows, engines, snaps, servings)
-        if profile is not None:
-            now = perf_counter()
-            profile["fb_state"] = profile.get("fb_state", 0.0) + now - t0
-            t0 = now
-        # Event pass.  Lanes are grouped by armed-event *signature* (the
-        # tuple of (event, metric) pairs the monitor armed), not by
-        # neighborhood: parked UEs scatter over ~50 distinct prepared
-        # lists per tick, so neighborhood subgroups degenerate into
-        # singletons, while a carrier arms only a handful of signatures.
-        # Per-config parameters (hysteresis, thresholds, offset) become
-        # per-member columns of one entry_mask call per event; row k is
-        # bit-identical to member k's own scalar call, while one masked
-        # pass covers nearly the whole batch.
-        serving_memo = state._serving_memo
-        rat_lte = state._rat_lte
-        # Rounds are materialized lazily: only lanes whose tick actually
-        # consumes one (non-quiet members, and every batched lane the
-        # member loop below does not cover — their ue.tick would
-        # otherwise recompute the round and re-draw RNG) get one.
-        def make_round(gi: int):
-            prepared = snaps[gi].prepared
-            r = rows[gi]
-            n = len(prepared.cells)
-            round_ = MeasurementRound(
-                prepared, filt_rsrp[r, :n], filt_rsrq[r, :n], eligible[r, :n]
-            )
-            engines[gi]._pending_round = round_
-            return round_
 
-        groups: dict[tuple, list[tuple]] = {}
-        for gi, lane in enumerate(group):
-            ue = lane.ue
-            lane.quiet = False
-            monitor = ue.monitor
-            if monitor is None or ue.pending_handover is not None:
-                make_round(gi)
-                continue
-            # state.step just refreshed the (serving, prepared, index)
-            # memo for this row; reuse it instead of re-hashing the id.
-            serving_i = serving_memo[rows[gi]][2]
-            if serving_i is None:
-                # Serving inaudible: the lane's own path handles RLF.
-                make_round(gi)
-                continue
-            info = monitor._batch_info
-            if info is None:
-                info = _monitor_batch_info(monitor.meas_config)
-                monitor._batch_info = info
-            groups.setdefault(info[0], []).append((gi, serving_i, monitor, info))
-        if profile is not None:
-            now = perf_counter()
-            profile["fb_group"] = profile.get("fb_group", 0.0) + now - t0
-            t0 = now
-        arange_cache: np.ndarray | None = None
-        for signature, members in groups.items():
-            m = len(members)
-            mrows = np.fromiter((rows[t[0]] for t in members), dtype=np.intp, count=m)
-            scols = np.fromiter((t[1] for t in members), dtype=np.intp, count=m)
-            params = np.stack([t[3][1] for t in members])  # (m, events, 4)
-            gates = np.fromiter((t[3][2] for t in members), dtype=np.float64, count=m)
-            sv_rsrp = filt_rsrp[mrows, scols]
-            sv_rsrq = filt_rsrq[mrows, scols]
-            # The s-Measure gate, one comparison for the whole group
-            # (exactly the scalar per-lane check).
-            gate_open = sv_rsrp <= gates
-            if arange_cache is None or len(arange_cache) < m:
-                arange_cache = np.arange(m)
-            # Neighbor candidates: eligibility minus the serving column,
-            # zeroed wholesale for gate-closed members (step_round hands
-            # them no candidates, so their neighbor events never fire).
-            base = eligible[mrows]  # fancy indexing copies
-            base[arange_cache[:m], scols] = False
-            base &= gate_open[:, None]
-            ratm = rat_lte[mrows]
-            intra = base & ratm
-            inter = base & ~ratm
-            values = {"rsrp": filt_rsrp[mrows], "rsrq": filt_rsrq[mrows]}
-            serving_values = {"rsrp": sv_rsrp[:, None], "rsrq": sv_rsrq[:, None]}
-            #: Per-member: does ANY armed event's entry condition hold?
-            any_entry = np.zeros(m, dtype=bool)
-            entries: list = [None] * len(signature)
-            for e_i, (event, metric) in enumerate(signature):
-                entry = entry_mask(
-                    EventColumns.from_matrix(event, params[:, e_i]),
-                    serving_values[metric],
-                    values[metric],
-                )
-                if not event.needs_neighbor:  # A1/A2: one (m, 1) column
-                    any_entry |= entry[:, 0]
-                    continue
-                entry &= inter if event.is_inter_rat else intra
-                hot = entry.any(axis=1)
-                if hot.any():
-                    any_entry |= hot
-                    entries[e_i] = (entry, hot)
-            if profile is not None:
-                now = perf_counter()
-                profile["fb_vector"] = profile.get("fb_vector", 0.0) + now - t0
-                t0 = now
-            for o_i in range(m):
-                gi, serving_i, monitor, info = members[o_i]
-                periodic = info[3]
-                open_ = gate_open[o_i]
-                # Quiet iff no entry holds, every event's TTT/report
-                # state is empty, and no periodic report is due — then
-                # step_round would mutate nothing, and the lane takes
-                # the no-op fast path (UserEquipment.quiet_tick).
-                quiet = not any_entry[o_i]
-                if quiet:
-                    for event_state in monitor._states:
-                        if event_state.entry_since or event_state.reported:
-                            quiet = False
-                            break
-                if quiet and periodic is not None and open_:
-                    last = monitor._last_periodic_ms
-                    if last is None or now_ms - last >= periodic.report_interval_ms:
-                        quiet = False
-                lane = group[gi]
-                if quiet:
-                    # No round: quiet_tick only bumps counters — plus a
-                    # due PHY emission, whose serving metrics are lifted
-                    # out of the batch matrices here.
-                    lane.quiet = True
-                    ue = lane.ue
-                    last = ue._last_phy_meas_ms
-                    if last is None or now_ms - last >= ue.phy_meas_interval_ms:
-                        lane.quiet_fm = (float(sv_rsrp[o_i]), float(sv_rsrq[o_i]))
-                    else:
-                        lane.quiet_fm = None
-                else:
-                    round_ = make_round(gi)
-                    if open_:
-                        ue = lane.ue
-                        n = len(snaps[gi].prepared.cells)
-                        round_._masks[ue.serving.cell_id] = (
-                            intra[o_i, :n],
-                            inter[o_i, :n],
-                        )
-                        monitor._injected_entries = [
-                            e[0][o_i] if e is not None and e[1][o_i] else None
-                            for e in entries
-                        ]
-            if profile is not None:
-                now = perf_counter()
-                profile["fb_members"] = profile.get("fb_members", 0.0) + now - t0
-                t0 = now
+class _Batch:
+    """The batch rows of a lockstep shard: one per lane.
+
+    Holds the shard's :class:`~repro.ue.measurement.BatchMeasurementState`
+    and :class:`~repro.config.events.EventTable` plus the per-row facts a
+    quiet-tick proof needs beyond this round's entry conditions:
+    ``calm`` (a monitor armed, no handover pending, the serving cell
+    audible, every event's TTT and report state empty) and the time a
+    periodic report falls due.  A quiet tick changes none of them, so
+    :meth:`refresh` re-derives them only for lanes whose last tick was
+    not quiet, and for movers that left the prepared neighbourhood
+    (``neighborhoods``) the facts were derived in: the serving cell's
+    audibility belongs to the place, not to the lane.  The rows refer
+    to lanes' engines and monitors, never the other way round, so
+    nothing outlives the run in a cycle.
+    """
+
+    def __init__(self, n_rows: int, profile: dict | None):
+        self.state = BatchMeasurementState(n_rows)
+        self.state.profile = profile
+        self.events = EventTable(n_rows)
+        self.monitors: list = [None] * n_rows
+        #: The prepared cell list each row's facts were derived in.
+        self.neighborhoods: list = [None] * n_rows
+        self.calm = np.zeros(n_rows, dtype=bool)
+        self.periodic_at = np.full(n_rows, np.inf)
+
+    def refresh(self, lane: DriveLane) -> None:
+        """Re-derive the row facts of a lane that just took its full check."""
+        row, ue = lane.row, lane.ue
+        self.neighborhoods[row] = ue.meas._snap.prepared
+        monitor = ue.monitor
+        if monitor is not self.monitors[row]:
+            # A new EventMonitor object: a new measConfig to lay out.
+            self.monitors[row] = monitor
+            self.events.set_row(row, None if monitor is None else monitor.meas_config)
+        if monitor is None:
+            self.calm[row] = False
+            return
+        self.calm[row] = (
+            ue.pending_handover is None
+            and self.state.serving_index(row) is not None
+            and not any(s.entry_since or s.reported for s in monitor._states)
+        )
+        periodic = monitor.meas_config.periodic
+        last = monitor._last_periodic_ms
+        if periodic is None:
+            self.periodic_at[row] = np.inf
+        elif last is None:
+            self.periodic_at[row] = -np.inf
+        else:
+            self.periodic_at[row] = last + periodic.report_interval_ms
+
+    def quiet_rows(self, now_ms: int, filtered: np.ndarray) -> tuple[list, list, list]:
+        """``(quiet, serving RSRP, serving RSRQ)`` per row, as lists.
+
+        A row is quiet when it is calm, no armed event's entry condition
+        holds for any candidate, and no periodic report is due behind an
+        open s-Measure gate: :meth:`EventMonitor.step_round` would then
+        mutate nothing, and the lane takes
+        :meth:`~repro.simulate.runner.DriveLane.quiet_tick`.  Only rows
+        of batched lanes are meaningful.
+        """
+        state = self.state
+        serving = state.serving_values()
+        entered, gate_open = self.events.entry_rows(serving, filtered, state.candidates())
+        due = self.periodic_at <= now_ms
+        due &= gate_open
+        entered |= due
+        quiet = self.calm & ~entered
+        serving_rsrp, serving_rsrq = serving.tolist()
+        return quiet.tolist(), serving_rsrp, serving_rsrq
+
+    def release(self, row: int) -> None:
+        """Drop a finished lane's row and everything it refers to."""
+        self.state.detach(row)
+        self.events.clear_row(row)
+        self.monitors[row] = None
+        self.neighborhoods[row] = None
 
 
 @dataclass(frozen=True)

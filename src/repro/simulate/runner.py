@@ -202,11 +202,12 @@ class DriveLane:
     model draws from ``(seed, run_index, 0x7A)``, so a lane is the same
     device wherever it runs.  Each tick the caller assigns ``location``
     (from the lane's :class:`SnapshotFeed`), then calls :meth:`tick`
-    (the UE's step) and :meth:`sample` (ground truth, delivered traffic,
-    ping probes).  A fleet front-loads work the tick would otherwise
-    compute itself — shared snapshots, batched measurement rounds, event
-    masks, quiet-tick proofs — never different work, so a fleet member's
-    outputs equal its solo drive bit for bit.
+    (the UE's step; :meth:`quiet_tick` on a tick a fleet proved a
+    no-op) and :meth:`sample` (ground truth, delivered traffic, ping
+    probes).  A fleet front-loads work the tick would otherwise compute
+    itself — shared snapshots, batched measurement rounds, quiet-tick
+    proofs — never different work, so a fleet member's outputs equal
+    its solo drive bit for bit.
     """
 
     __slots__ = (
@@ -229,8 +230,6 @@ class DriveLane:
         "location",
         "row",
         "batched",
-        "quiet",
-        "quiet_fm",
         "_gt_snap",
         "_gt_serving",
         "_gt_rsrp",
@@ -291,13 +290,10 @@ class DriveLane:
         self.delivered_bits = 0.0
         self.interrupted_ticks = 0
         self.n_ticks = 0
-        # Fleet batching state: whether the lane is in the batch (its
-        # row is ``row``), and whether the batched pass proved this
-        # tick a no-op (``quiet_fm``: serving metrics of a due PHY
-        # emission).
+        # Fleet batching state: whether the lane is in the batch, whose
+        # measurement matrices hold it in row ``row``.
+        self.row = -1
         self.batched = False
-        self.quiet = False
-        self.quiet_fm: tuple | None = None
         # Ground-truth serving measurement and capacity memos: a parked
         # UE's (snapshot, serving) pair and load-share epoch repeat for
         # many consecutive ticks, and both lookups are pure given them.
@@ -320,18 +316,21 @@ class DriveLane:
 
     def tick(self, now_ms: int) -> None:
         """The UE's step at the already-assigned ``location``."""
+        self.ue.tick(now_ms, self.location)
+
+    def quiet_tick(self, now_ms: int, serving_rsrp: float, serving_rsrq: float) -> None:
+        """The UE's step on a tick the fleet's batched pass proved a no-op.
+
+        Only the round counters and a due PHY emission happen
+        (:meth:`UserEquipment.quiet_tick`); ``serving_rsrp`` and
+        ``serving_rsrq`` are this round's filtered serving metrics.
+        """
         ue = self.ue
-        if not self.quiet:
-            ue.tick(now_ms, self.location)
-            return
-        # The fleet's batched event pass proved this tick a no-op; only
-        # the round counters (and a due PHY emission) happen.
-        self.quiet = False
-        fm = self.quiet_fm
-        if fm is None:
+        last = ue._last_phy_meas_ms
+        if last is not None and now_ms - last < ue.phy_meas_interval_ms:
             ue.quiet_tick(now_ms)
         elif len(ue._listeners) != 1:
-            ue.quiet_tick(now_ms, fm[0], fm[1])
+            ue.quiet_tick(now_ms, serving_rsrp, serving_rsrq)
         else:
             # Due PHY serving measurement, written directly: the lane's
             # writer is the device's only listener, so the notify ->
@@ -342,7 +341,7 @@ class DriveLane:
             meas.intra_freq_rounds += 1
             meas.non_intra_freq_rounds += 1
             ue._last_phy_meas_ms = now_ms
-            self.writer.write_phy_serving(now_ms, ue.serving, fm[0], fm[1])
+            self.writer.write_phy_serving(now_ms, ue.serving, serving_rsrp, serving_rsrq)
 
     def sample(self, now_ms: int) -> None:
         """Ground truth, delivered traffic and ping probes of this tick."""

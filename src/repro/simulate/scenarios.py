@@ -30,6 +30,9 @@ from repro.simulate.mobility import Trajectory, grid_drive, highway_drive
 #: The Type-II cities of the paper (Section 4 experimental settings).
 TYPE2_CITIES = ("Chicago", "Indianapolis", "Lafayette")
 
+#: Carriers every drive scenario deploys.
+SCENARIO_CARRIERS = tuple(carrier.acronym for carrier in us_carriers())
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -93,6 +96,21 @@ class DriveScenario:
         return highway_drive(start, end, rng, speed_kmh=speed_kmh)
 
 
+def scenario_cities(name: str) -> list[City]:
+    """The cities drive scenario ``name`` deploys.
+
+    ``"tri-city"`` is the three Type-II cities; any other name is one
+    catalogued city, lower-case.  Raises ``ValueError`` for a name that
+    names no scenario.
+    """
+    if name == "tri-city":
+        return [city_by_name(c) for c in TYPE2_CITIES]
+    try:
+        return [city_by_name(name.capitalize())]
+    except KeyError:
+        raise ValueError(f"unknown drive scenario {name!r}") from None
+
+
 def drive_scenario(
     name: str = "indianapolis",
     seed: int = 7,
@@ -110,8 +128,8 @@ def drive_scenario(
     """
     carriers = us_carriers()
     plan = DeploymentPlan()
+    cities = scenario_cities(name)
     if name == "tri-city":
-        cities = [city_by_name(c) for c in TYPE2_CITIES]
         for city in cities:
             deploy_city(city, plan, seed, carriers=carriers)
         start = cities[1].origin  # Indianapolis -> Lafayette corridor.
@@ -121,8 +139,7 @@ def drive_scenario(
         deploy_highway(corridor_start, corridor_end, plan, seed, carriers, name="I-65")
         endpoints = (corridor_start, corridor_end)
     else:
-        city = city_by_name(name.capitalize() if name != "lafayette" else "Lafayette")
-        cities = [city]
+        city = cities[0]
         deploy_city(city, plan, seed, carriers=carriers)
         endpoints = None
         if with_highway:

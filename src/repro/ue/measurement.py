@@ -16,9 +16,10 @@ array pass per round, stable cell-index maps, carry-over when the UE
 crosses a cache-grid boundary) and serves every round a UE takes,
 S-gated idle rounds included.  :class:`BatchMeasurementState` performs
 the same full-measure connected rounds for a whole fleet shard at once,
-in persistent (UE x cell) matrices.  The *scalar* path is the original
-per-cell loop, kept as the one reference oracle (``REPRO_SCALAR=1``) —
-parity tests assert all three produce bit-identical drives.
+in persistent (metric x UE x cell) matrices.  The *scalar* path is the
+original per-cell loop, kept as the one reference oracle
+(``REPRO_SCALAR=1``) — parity tests assert all three produce
+bit-identical drives.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import numpy as np
 from repro.cellnet.cell import Cell, CellId
 from repro.cellnet.radio import PreparedCells, RadioSnapshot
 from repro.cellnet.rat import (
-    RAT,
     RSRP_RANGE_DBM,
     RSRQ_RANGE_DB,
     clamp_rsrp,
@@ -264,9 +264,9 @@ class MeasurementEngine:
         tail values are carried across refills, never discarded, keeping
         the served sequence exactly the unbuffered one.  Both vectorized
         measurement paths (:meth:`_step_vectorized` and the fleet's
-        :class:`BatchMeasurementState`) draw through this tap, which is
-        what keeps a fleet lane's stream aligned with the same UE
-        simulated solo.
+        :class:`BatchMeasurementState`, one ``2n`` read per round each)
+        draw through this tap, which is what keeps a fleet lane's stream
+        aligned with the same UE simulated solo.
         """
         buf = self._noise_buf
         pos = self._noise_pos
@@ -498,43 +498,57 @@ class MeasurementEngine:
 
 
 class BatchMeasurementState:
-    """Persistent (UE x cell) matrices for a lockstep fleet shard.
+    """Persistent (metric x UE x cell) matrices for a lockstep fleet shard.
 
     One full-measure connected round for many engines at once.  Lanes
     may live in *different* snapshot-cache neighborhoods: row ``r``
     spans its own prepared cell list and is padded out to the widest
-    row with :data:`_PAD` (ineligible by construction).  For a fleet
-    ticking the same UEs in lockstep most rows are unchanged tick over
-    tick (a parked UE's raw snapshot never changes, and its filter state
-    is exactly last tick's output), so the matrices stay alive across
-    ticks, only rows that went stale are refreshed, and the
-    filter/eligibility matrices are updated **in place**:
+    row with :data:`_PAD` (ineligible by construction).  RSRP and RSRQ
+    share a leading axis in every buffer, so one ufunc call updates
+    both.  A row is *attached* from the first :meth:`step` that names
+    it until :meth:`detach`, and every step advances every attached
+    row.  For a fleet ticking the same UEs in lockstep most rows are
+    unchanged tick over tick (a parked UE's raw snapshot never changes,
+    and its filter state is exactly last tick's output), so the
+    matrices stay alive across ticks and are updated **in place**:
 
-    * Raw metric rows are rewritten only when a UE's snapshot object
-      changed (movers every tick, parked UEs never).
+    * A row named in ``rows`` gets the full check: its raw metrics are
+      rewritten when its snapshot changed, its filter state is refreshed
+      from its engine when the engine's arrays were rebuilt outside the
+      batch (handover reset, realignment, a detach), and its serving
+      column and neighbor masks when its serving cell or neighborhood
+      changed.
+    * An attached row that is not named is *steady*: the caller vouches
+      that nothing the full check re-derives has changed since the
+      row's last one.  A steady row in ``movers`` only has its raw
+      metrics rewritten from its engine's snapshot memo, which must
+      still span the row's prepared cell list (a lane in a new
+      neighborhood is named instead); any other steady row costs no
+      Python at all.
     * The previous-state and output matrices are the *same buffers*:
       the IIR update writes back into them, so the row views installed
-      into each engine stay valid across ticks and need no per-tick
-      re-commit.  An engine whose arrays were rebuilt outside the batch
-      (handover reset, realignment, a detach by the fleet loop) fails
-      the identity check and gets its row refreshed from the engine,
-      the single source of truth.
+      into each engine stay valid across ticks.
+    * Each step reads every attached row's noise from its own engine's
+      tap (:meth:`MeasurementEngine._noise`, one ``2n`` read, RSRP
+      first), so the engine's own path continues exactly where the
+      batch left its stream.
     * Serving-cell eligibility is forced with one fancy-index write
       from cached row/column arrays, rebuilt only when a serving cell,
-      a neighborhood, or the set of batched rows changes.
+      a neighborhood, or the set of attached rows changes.
 
     Because the buffers mutate in place, anything derived from row
     views — :class:`MeasurementRound` objects included — is only valid
-    until the next :meth:`step`; the fleet consumes every round within
-    its tick.  Callers whose engines hold batch row views MUST detach
-    an engine (copy its arrays) before stepping the batch without it,
-    or the full-matrix ufuncs would scribble over live engine state.
+    until the next :meth:`step`.  A lane that leaves the batch MUST
+    :meth:`detach` its row before the next step: the full-matrix ufuncs
+    would otherwise scribble over live engine state, and the row would
+    go on drawing from the engine's stream.  The state holds its
+    attached engines; an engine never refers back to the state, so a
+    finished shard's state is freed by reference counting.
 
     Values are bit-identical to per-engine :meth:`_step_vectorized`
     rounds: every update is the same elementwise ufunc on the same
-    operand values, and each engine's RNG draws its own noise in its
-    own order (``standard_normal`` twice consumes the stream exactly as
-    one ``normal(0, 1, 2n)`` draw does).
+    operand values, and each engine's noise is its own tap's sequence
+    in its own order (one ``2n`` tap read per tick, RSRP first).
     """
 
     #: Raw-metric value used to pad rows past a lane's own cell count:
@@ -545,39 +559,40 @@ class BatchMeasurementState:
     def __init__(self, n_rows: int):
         self.n_rows = n_rows
         self.max_n = 0
+        self.n_attached = 0
         # Persistent inputs; prev/has double as the in-place outputs.
-        self._raw_rsrp: np.ndarray | None = None
-        self._raw_rsrq: np.ndarray | None = None
-        self._prev_rsrp: np.ndarray | None = None
-        self._prev_rsrq: np.ndarray | None = None
+        self._raw: np.ndarray | None = None
+        self._prev: np.ndarray | None = None
         self._has: np.ndarray | None = None
-        self._noise_rsrp: np.ndarray | None = None
-        self._noise_rsrq: np.ndarray | None = None
+        #: (metric, row, cell) unit normals of this step.
+        self._noise: np.ndarray | None = None
+        #: [intra-RAT, inter-RAT] neighbor classes per row, serving
+        #: cell excluded; candidates are these masks & eligibility.
+        self._neighbors: np.ndarray | None = None
+        self._candidates: np.ndarray | None = None
         # Elementwise scratch (noisy metrics, IIR terms).
         self._t1: np.ndarray | None = None
         self._t2: np.ndarray | None = None
-        self._t3: np.ndarray | None = None
-        self._t4: np.ndarray | None = None
-        #: Padded LTE rat-mask rows for the batched event pass (every
-        #: batched lane serves LTE); refreshed with the raw rows.
-        self._rat_lte: np.ndarray | None = None
-        self._stds = np.zeros((n_rows, 1))
-        self._stds_half = np.zeros((n_rows, 1))
+        self._stds = np.zeros((2, n_rows, 1))
         self._floors = np.zeros((n_rows, 1))
         self._alpha = np.zeros((n_rows, 1))
         self._one_minus_alpha = np.zeros((n_rows, 1))
+        self._lo = np.array([RSRP_RANGE_DBM[0], RSRQ_RANGE_DB[0]]).reshape(2, 1, 1)
+        self._hi = np.array([RSRP_RANGE_DBM[1], RSRQ_RANGE_DB[1]]).reshape(2, 1, 1)
+        #: The attached engine of each row (None: detached).
+        self._engines: list = [None] * n_rows
         # Per-row validity bookkeeping (engine-array identity).
         self._last_snap: list = [None] * n_rows
-        self._last_prepared: list = [None] * n_rows
         self._last_n = [0] * n_rows
         self._last_view: list = [None] * n_rows
         self._last_has_view: list = [None] * n_rows
         #: (serving cell, prepared, serving index) memo per row.
         self._serving_memo: list = [None] * n_rows
-        #: Cached serving-eligibility write targets (see step()).
+        self._serving_col = np.zeros(n_rows, dtype=np.intp)
+        self._row_index = np.arange(n_rows)
+        #: Serving-eligibility write targets (None: rebuild).
         self._sv_rows: np.ndarray | None = None
         self._sv_cols: np.ndarray | None = None
-        self._sv_for_rows: list | None = None
         #: Optional ``REPRO_PROFILE`` stage-timing sink (the fleet
         #: simulator attaches its own profile dict here).
         self.profile: dict | None = None
@@ -586,39 +601,109 @@ class BatchMeasurementState:
         """(Re)allocate matrices for a larger cell axis; all rows stale."""
         self.max_n = need_n
         g = self.n_rows
-        pad = self._PAD
-        self._raw_rsrp = np.full((g, need_n), pad)
-        self._raw_rsrq = np.full((g, need_n), pad)
-        self._prev_rsrp = np.zeros((g, need_n))
-        self._prev_rsrq = np.zeros((g, need_n))
+        self._raw = np.full((2, g, need_n), self._PAD)
+        self._prev = np.zeros((2, g, need_n))
         self._has = np.zeros((g, need_n), dtype=bool)
-        self._noise_rsrp = np.zeros((g, need_n))
-        self._noise_rsrq = np.zeros((g, need_n))
-        self._t1 = np.empty((g, need_n))
-        self._t2 = np.empty((g, need_n))
-        self._t3 = np.empty((g, need_n))
-        self._t4 = np.empty((g, need_n))
-        self._rat_lte = np.zeros((g, need_n), dtype=bool)
+        self._noise = np.zeros((2, g, need_n))
+        self._neighbors = np.zeros((2, g, need_n), dtype=bool)
+        self._candidates = np.empty((2, g, need_n), dtype=bool)
+        self._t1 = np.empty((2, g, need_n))
+        self._t2 = np.empty((2, g, need_n))
         self._last_snap = [None] * g
-        self._last_prepared = [None] * g
         self._last_n = [0] * g
         self._last_view = [None] * g
         self._last_has_view = [None] * g
-        self._sv_for_rows = None
+        self._serving_memo = [None] * g
+        self._sv_rows = None
 
-    def detach(self, eng: MeasurementEngine) -> None:
-        """Give ``eng`` private copies of its batch row views.
+    def detach(self, row: int) -> None:
+        """Release row ``row``: its engine leaves the batch.
 
-        Called by the fleet loop when a lane leaves the batch while the
-        batch keeps stepping: the in-place matrix update would otherwise
-        mutate the engine's live filter state under it.  The copies make
-        the engine self-contained; if the lane returns, the identity
-        check fails and its row is refreshed from the engine.
+        The engine gets private copies of its row views (the in-place
+        update would otherwise mutate its live filter state).  The row
+        drops every reference it held; if the engine returns, its next
+        full check refreshes the row from it.
         """
-        if eng._filt_rsrp is not None:
-            eng._filt_rsrp = eng._filt_rsrp.copy()
-            eng._filt_rsrq = eng._filt_rsrq.copy()
-            eng._has_filt = eng._has_filt.copy()
+        eng = self._engines[row]
+        if eng is None:
+            return
+        eng._filt_rsrp = eng._filt_rsrp.copy()
+        eng._filt_rsrq = eng._filt_rsrq.copy()
+        eng._has_filt = eng._has_filt.copy()
+        self._engines[row] = None
+        self.n_attached -= 1
+        self._last_snap[row] = None
+        self._last_view[row] = None
+        self._last_has_view[row] = None
+        self._serving_memo[row] = None
+        self._sv_rows = None
+
+    def close(self) -> None:
+        """Detach every attached row."""
+        for row, eng in enumerate(self._engines):
+            if eng is not None:
+                self.detach(row)
+
+    def _check(
+        self, r: int, eng: MeasurementEngine, snap: RadioSnapshot, serving: Cell
+    ) -> None:
+        """The full row check: attach, then refresh what went stale."""
+        prepared = snap.prepared
+        n = len(prepared.cells)
+        if self._engines[r] is None:
+            self._engines[r] = eng
+            self.n_attached += 1
+        if snap is not self._last_snap[r]:
+            rr, rq, _ = snap.metric_arrays()
+            raw = self._raw
+            raw[0, r, :n] = rr
+            raw[1, r, :n] = rq
+            if n < self._last_n[r]:
+                raw[:, r, n : self._last_n[r]] = self._PAD
+            self._last_snap[r] = snap
+            self._last_n[r] = n
+        if (
+            eng._filt_rsrp is not self._last_view[r]
+            or eng._has_filt is not self._last_has_view[r]
+            or eng._aligned is not prepared
+        ):
+            # The engine's arrays were rebuilt outside the batch (reset,
+            # realignment, detach): the engine is the source of truth —
+            # refresh the row from it, then hand the engine stable views
+            # into the in-place buffers.
+            if eng._aligned is not prepared:
+                eng._realign(prepared)
+            prev, has = self._prev, self._has
+            prev[0, r, :n] = eng._filt_rsrp
+            prev[1, r, :n] = eng._filt_rsrq
+            has[r, :n] = eng._has_filt
+            has[r, n:] = False
+            self._stds[0, r, 0] = eng.noise_std_db
+            self._stds[1, r, 0] = eng.noise_std_db / 2.0
+            self._floors[r, 0] = eng.detection_floor_dbm
+            self._alpha[r, 0] = eng.alpha
+            self._one_minus_alpha[r, 0] = 1.0 - eng.alpha
+            view_rsrp = prev[0, r, :n]
+            view_has = has[r, :n]
+            eng._filt_rsrp = view_rsrp
+            eng._filt_rsrq = prev[1, r, :n]
+            eng._has_filt = view_has
+            self._last_view[r] = view_rsrp
+            self._last_has_view[r] = view_has
+        memo = self._serving_memo[r]
+        if memo is None or memo[0] is not serving or memo[1] is not prepared:
+            i = prepared.index.get(serving.cell_id)
+            self._serving_memo[r] = (serving, prepared, i)
+            # MeasurementRound.neighbor_masks' classes, serving excluded.
+            neighbors = self._neighbors
+            intra = prepared.rat_mask(serving.rat)
+            neighbors[0, r, :n] = intra
+            np.logical_not(intra, out=neighbors[1, r, :n])
+            neighbors[:, r, n:] = False
+            if i is not None:
+                neighbors[:, r, i] = False
+            self._serving_col[r] = 0 if i is None else i
+            self._sv_rows = None
 
     def step(
         self,
@@ -626,143 +711,117 @@ class BatchMeasurementState:
         engines: list[MeasurementEngine],
         snaps: list[RadioSnapshot],
         servings: list[Cell],
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One batched connected round; lane ``k`` lives in row ``rows[k]``.
+        movers: list[int] = (),
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One batched connected round over every attached row.
 
-        Advances every engine's filter state and RNG and returns the
-        ``(filt_rsrp, filt_rsrq, eligible)`` matrices (the persistent
-        in-place buffers, valid until the next call; rows not in
-        ``rows`` hold garbage).  No :class:`MeasurementRound` objects
-        are created here — the caller materializes them only for lanes
-        that actually consume one.
+        Row ``rows[k]`` (engine ``engines[k]``, this tick's snapshot
+        ``snaps[k]``, serving cell ``servings[k]``) is attached if new
+        and gets the full check; ``movers`` are steady rows whose
+        snapshot may have moved within their prepared cell list.
+        Advances every attached engine's filter state and noise stream
+        and returns ``(filtered, eligible)``: the ``(2, rows, cells)``
+        [RSRP, RSRQ] filter buffer and the ``(rows, cells)`` eligibility
+        buffer, valid until the next call (detached rows hold garbage).
+        No :class:`MeasurementRound` objects are created here —
+        :meth:`round_at` materializes one for a lane that consumes it.
         """
         profile = self.profile
         t0 = perf_counter() if profile is not None else 0.0
-        pad = self._PAD
-        need_n = max(len(snap.prepared.cells) for snap in snaps)
-        if need_n > self.max_n:
-            self._grow(need_n)
-        raw_rsrp, raw_rsrq = self._raw_rsrp, self._raw_rsrq
-        prev_rsrp, prev_rsrq, has = self._prev_rsrp, self._prev_rsrq, self._has
-        noise_rsrp, noise_rsrq = self._noise_rsrp, self._noise_rsrq
-        last_snap, last_n = self._last_snap, self._last_n
-        last_view, last_has_view = self._last_view, self._last_has_view
-        last_prepared = self._last_prepared
-        serving_memo = self._serving_memo
-        rat_lte = self._rat_lte
-        sv_dirty = self._sv_for_rows is None or rows != self._sv_for_rows
-        for k, r in enumerate(rows):
-            eng, snap = engines[k], snaps[k]
-            prepared = snap.prepared
-            n = len(prepared.cells)
-            # One buffered tap read of 2n consumes the stream exactly as
-            # the per-engine path's normal(0, 1, 2n) draw (same values,
-            # same order), copied into the contiguous noise row slices.
-            z = eng._noise(2 * n)
-            noise_rsrp[r, :n] = z[:n]
-            noise_rsrq[r, :n] = z[n:]
+        checks = list(zip(rows, engines, snaps, servings))
+        attached, last_snap, last_n = self._engines, self._last_snap, self._last_n
+        raw = self._raw
+        for r in movers:
+            snap = attached[r]._snap
             if snap is not last_snap[r]:
+                n = last_n[r]
                 rr, rq, _ = snap.metric_arrays()
-                raw_rsrp[r, :n] = rr
-                raw_rsrq[r, :n] = rq
-                if n < last_n[r]:
-                    raw_rsrp[r, n:last_n[r]] = pad
-                    raw_rsrq[r, n:last_n[r]] = pad
+                raw[0, r, :n] = rr
+                raw[1, r, :n] = rq
                 last_snap[r] = snap
-                last_n[r] = n
-                if prepared is not last_prepared[r]:
-                    rat_lte[r, :n] = prepared.rat_mask(RAT.LTE)
-                    rat_lte[r, n:] = False
-                    last_prepared[r] = prepared
-            if (
-                eng._filt_rsrp is not last_view[r]
-                or eng._has_filt is not last_has_view[r]
-                or eng._aligned is not prepared
-            ):
-                # The engine's arrays were rebuilt outside the batch
-                # (reset, realignment, detach): the engine is the source
-                # of truth — refresh the row from it, then hand the
-                # engine stable views into the in-place buffers.
-                if eng._aligned is not prepared:
-                    eng._realign(prepared)
-                prev_rsrp[r, :n] = eng._filt_rsrp
-                prev_rsrq[r, :n] = eng._filt_rsrq
-                has[r, :n] = eng._has_filt
-                has[r, n:] = False
-                self._stds[r, 0] = eng.noise_std_db
-                self._stds_half[r, 0] = eng.noise_std_db / 2.0
-                self._floors[r, 0] = eng.detection_floor_dbm
-                self._alpha[r, 0] = eng.alpha
-                self._one_minus_alpha[r, 0] = 1.0 - eng.alpha
-                view_rsrp = prev_rsrp[r, :n]
-                view_has = has[r, :n]
-                eng._filt_rsrp = view_rsrp
-                eng._filt_rsrq = prev_rsrq[r, :n]
-                eng._has_filt = view_has
-                last_view[r] = view_rsrp
-                last_has_view[r] = view_has
-            serving = servings[k]
-            memo = serving_memo[r]
-            if memo is None or memo[0] is not serving or memo[1] is not prepared:
-                serving_memo[r] = (serving, prepared, prepared.index.get(serving.cell_id))
-                sv_dirty = True
+        need_n = max(1, max((len(check[2].prepared.cells) for check in checks), default=0))
+        if need_n > self.max_n:
+            named = {check[0] for check in checks}
+            checks.extend(
+                (r, eng, eng._snap, self._serving_memo[r][0])
+                for r, eng in enumerate(attached)
+                if eng is not None and r not in named
+            )
+            self._grow(need_n)
+        for r, eng, snap, serving in checks:
+            self._check(r, eng, snap, serving)
+        noise, last_n = self._noise, self._last_n
+        for r, eng in enumerate(attached):
+            if eng is not None:
+                n = last_n[r]
+                noise[:, r, :n] = eng._noise(2 * n).reshape(2, n)
         if profile is not None:
             now = perf_counter()
-            profile["bs_loop"] = profile.get("bs_loop", 0.0) + now - t0
+            profile["bs_rows"] = profile.get("bs_rows", 0.0) + now - t0
             t0 = now
+        raw, prev, has = self._raw, self._prev, self._has
+        t1, t2 = self._t1, self._t2
         # Scaling the unit draws is the same multiply the per-engine
-        # path performs (z * std, z * (std / 2)), written into t1/t2:
-        # the noise rows keep their unit draws, so a row left out of
-        # this batch never compounds its scaling tick over tick.
-        t1, t2, t3, t4 = self._t1, self._t2, self._t3, self._t4
-        np.multiply(noise_rsrp, self._stds, out=t1)
-        np.multiply(noise_rsrq, self._stds_half, out=t2)
+        # path performs (z * std, z * (std / 2)), written into t1: the
+        # noise buffer keeps its unit draws, so a detached row's stale
+        # values stay bounded.
+        np.multiply(self._noise, self._stds, out=t1)
         # minimum(maximum(...)) is the scalar clamp's exact op order.
-        lo, hi = RSRP_RANGE_DBM
-        np.add(raw_rsrp, t1, out=t1)
-        np.maximum(t1, lo, out=t1)
-        np.minimum(t1, hi, out=t1)
-        lo, hi = RSRQ_RANGE_DB
-        np.add(raw_rsrq, t2, out=t2)
-        np.maximum(t2, lo, out=t2)
-        np.minimum(t2, hi, out=t2)
-        # where(has, (1-a)*prev + a*noisy, noisy), written back into the
-        # prev buffers: the IIR term is materialized first (it reads
-        # prev), then noisy is copied everywhere and overwritten where
-        # has holds — the same selected values np.where produces.
-        np.multiply(self._one_minus_alpha, prev_rsrp, out=t3)
-        np.multiply(self._alpha, t1, out=t4)
-        np.add(t3, t4, out=t3)
-        np.copyto(prev_rsrp, t1)
-        np.copyto(prev_rsrp, t3, where=has)
-        np.multiply(self._one_minus_alpha, prev_rsrq, out=t3)
-        np.multiply(self._alpha, t2, out=t4)
-        np.add(t3, t4, out=t3)
-        np.copyto(prev_rsrq, t2)
-        np.copyto(prev_rsrq, t3, where=has)
+        np.add(raw, t1, out=t1)
+        np.maximum(t1, self._lo, out=t1)
+        np.minimum(t1, self._hi, out=t1)
+        # where(has, (1-a)*prev + a*noisy, noisy), written back into
+        # prev: the IIR's prev term is materialized first, then noisy is
+        # copied everywhere, scaled in place to a*noisy, and the sum
+        # overwrites it where has holds — the same selected values
+        # np.where produces.
+        np.multiply(self._one_minus_alpha, prev, out=t2)
+        np.copyto(prev, t1)
+        np.multiply(self._alpha, t1, out=t1)
+        np.add(t2, t1, out=t2)
+        np.copyto(prev, t2, where=has)
         # Eligibility replaces has in place only after the IIR selection
-        # consumed last tick's values (exactly the allocating version's
-        # dataflow), then serving cells are forced eligible in one
-        # cached fancy-index write.
-        np.greater_equal(raw_rsrp, self._floors, out=has)
-        if profile is not None:
-            now = perf_counter()
-            profile["bs_matrix"] = profile.get("bs_matrix", 0.0) + now - t0
-            t0 = now
-        if sv_dirty:
+        # consumed last tick's values, then serving cells are forced
+        # eligible in one cached fancy-index write.
+        np.greater_equal(raw[0], self._floors, out=has)
+        if self._sv_rows is None:
             pairs = [
-                (r, serving_memo[r][2])
-                for r in rows
-                if serving_memo[r][2] is not None
+                (r, m[2])
+                for r, m in enumerate(self._serving_memo)
+                if m is not None and m[2] is not None
             ]
-            self._sv_rows = np.fromiter(
-                (p[0] for p in pairs), dtype=np.intp, count=len(pairs)
-            )
-            self._sv_cols = np.fromiter(
-                (p[1] for p in pairs), dtype=np.intp, count=len(pairs)
-            )
-            self._sv_for_rows = list(rows)
+            self._sv_rows = np.array([p[0] for p in pairs], dtype=np.intp)
+            self._sv_cols = np.array([p[1] for p in pairs], dtype=np.intp)
         has[self._sv_rows, self._sv_cols] = True
         if profile is not None:
-            profile["bs_sv"] = profile.get("bs_sv", 0.0) + perf_counter() - t0
-        return prev_rsrp, prev_rsrq, has
+            profile["bs_matrix"] = profile.get("bs_matrix", 0.0) + perf_counter() - t0
+        return prev, has
+
+    def serving_values(self) -> np.ndarray:
+        """``(2, rows)`` [RSRP, RSRQ] of each row's serving cell this round.
+
+        A row whose serving cell is not in its neighborhood reads
+        column 0 (garbage); see :meth:`serving_index`.
+        """
+        return self._prev[:, self._row_index, self._serving_col]
+
+    def serving_index(self, row: int) -> int | None:
+        """Row ``row``'s serving-cell position (None: not audible)."""
+        return self._serving_memo[row][2]
+
+    def candidates(self) -> np.ndarray:
+        """``(2, rows, cells)`` [intra-RAT, inter-RAT] neighbor candidates.
+
+        Measured this round, of the serving cell's RAT class or not,
+        serving cell excluded: :meth:`MeasurementRound.neighbor_masks`
+        of every row at once (before the s-Measure gate).
+        """
+        return np.logical_and(self._neighbors, self._has, out=self._candidates)
+
+    def round_at(self, row: int) -> MeasurementRound:
+        """Row ``row``'s round, as views valid until the next step."""
+        prepared = self._serving_memo[row][1]
+        n = self._last_n[row]
+        return MeasurementRound(
+            prepared, self._prev[0, row, :n], self._prev[1, row, :n], self._has[row, :n]
+        )

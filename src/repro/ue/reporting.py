@@ -68,15 +68,6 @@ class EventMonitor:
         self.meas_config = meas_config
         self._states = [_EventState(config=e) for e in meas_config.events]
         self._last_periodic_ms: int | None = None
-        #: Entry masks precomputed by the fleet simulator's batched event
-        #: pass, aligned with ``_states`` (None per slot = condition holds
-        #: nowhere).  Consumed (and cleared) by the next
-        #: :meth:`step_round` call instead of recomputing per monitor.
-        self._injected_entries: list | None = None
-        #: Lazily filled by the fleet simulator: (signature, parameter
-        #: matrix, s_measure, periodic) of ``meas_config``, so the batched
-        #: event pass groups lanes without re-deriving it every tick.
-        self._batch_info: tuple | None = None
 
     @property
     def armed_events(self) -> list[EventType]:
@@ -205,8 +196,6 @@ class EventMonitor:
         never.
         """
         reports: list[TriggeredReport] = []
-        injected = self._injected_entries
-        self._injected_entries = None
         gate_open = self.s_measure_gate_open(serving)
         prepared = round_.prepared
         cell_ids = prepared.cell_ids
@@ -215,7 +204,7 @@ class EventMonitor:
             intra_cand, inter_cand = round_.neighbor_masks(serving.cell)
         else:
             intra_cand = inter_cand = None
-        for state_i, state in enumerate(self._states):
+        for state in self._states:
             config = state.config
             if not config.event.needs_neighbor:
                 if self._step_serving_only(now_ms, state, serving):
@@ -236,16 +225,9 @@ class EventMonitor:
                 # One masked array pass over the whole prepared cell
                 # list; only positions where the entry condition holds
                 # (on a steady drive: almost none) cost Python work.
-                # When the fleet's batched pass already computed this
-                # event's entry row (bit-identical: same ufuncs broadcast
-                # over the UE axis), consume it instead; a None slot
-                # means the condition holds nowhere this round.
                 values = round_.metric_values(config.metric)
-                if injected is not None:
-                    entry = injected[state_i]
-                else:
-                    entry = entry_mask(config, serving_value, values) & cand
-                for i in () if entry is None else np.flatnonzero(entry):
+                entry = entry_mask(config, serving_value, values) & cand
+                for i in np.flatnonzero(entry):
                     key = cell_ids[i]
                     if key in state.reported:
                         # Entry and leave are mutually exclusive (hys

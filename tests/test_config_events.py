@@ -4,11 +4,13 @@ import pytest
 
 from repro.config.events import (
     EventConfig,
+    EventTable,
     EventType,
     PeriodicConfig,
     evaluate_entry,
     evaluate_leave,
 )
+from repro.config.lte import MeasurementConfig
 
 
 def _a3(offset=3.0, hysteresis=1.0):
@@ -110,6 +112,15 @@ def test_periodic_always_enters():
     periodic = PeriodicConfig().as_event_config()
     assert evaluate_entry(periodic, None, None)
     assert not evaluate_leave(periodic, None, None)
+
+
+def test_event_table_rejects_events_without_entry_mask():
+    # Periodic reporting lives in MeasurementConfig.periodic; an event
+    # list that carries it has no entry condition to lay out.
+    periodic = MeasurementConfig(events=(PeriodicConfig().as_event_config(),))
+    table = EventTable(1)
+    with pytest.raises(NotImplementedError, match="no entry mask"):
+        table.set_row(0, periodic)
 
 
 def test_missing_measurements_fail_entry():

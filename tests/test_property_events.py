@@ -4,13 +4,16 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from repro.config.events import (
+    METRIC_AXIS,
     EventColumns,
     EventConfig,
+    EventTable,
     EventType,
     entry_mask,
     evaluate_entry,
     evaluate_leave,
 )
+from repro.config.lte import MeasurementConfig
 from repro.core.analysis.diversity import simpson_index
 
 _rsrp = st.floats(min_value=-140.0, max_value=-44.0)
@@ -102,7 +105,7 @@ def test_entry_mask_columns_match_scalar_and_evaluator(drawn):
     params = np.array(
         [[c.hysteresis, c.threshold1, c.threshold2, c.offset] for c in configs]
     )
-    columns = entry_mask(EventColumns.from_matrix(event, params), serving[:, None], neighbors)
+    columns = entry_mask(EventColumns(event, *params.T[:, :, None]), serving[:, None], neighbors)
     for k, config in enumerate(configs):
         s = float(serving[k])
         scalar = np.atleast_1d(entry_mask(config, s, neighbors[k]))
@@ -111,6 +114,72 @@ def test_entry_mask_columns_match_scalar_and_evaluator(drawn):
         else:
             expected = [evaluate_entry(config, s, None)]
         assert columns[k].tolist() == scalar.tolist() == expected
+
+
+_event_config = st.builds(
+    EventConfig,
+    event=st.sampled_from(_ENTRY_EVENTS),
+    metric=st.sampled_from(["rsrp", "rsrq"]),
+    threshold1=_value,
+    threshold2=_value,
+    offset=st.one_of(_offset, st.sampled_from([-1.5, 0.5, 2.5])),
+    hysteresis=_hys,
+)
+#: -44 leaves the gate open; the grid and -140 close it for many rows.
+_s_measure = st.one_of(st.sampled_from([-44.0, -97.0, -140.0]), _grid)
+
+
+@st.composite
+def _event_rows(draw):
+    """Rows of mixed measConfigs with their round's values and candidates."""
+    n_rows = draw(st.integers(min_value=1, max_value=5))
+    n_cells = draw(st.integers(min_value=0, max_value=5))
+    configs = [
+        MeasurementConfig(
+            events=tuple(draw(st.lists(_event_config, max_size=4))),
+            s_measure=draw(_s_measure),
+        )
+        for _ in range(n_rows)
+    ]
+    serving = np.array([[draw(_value) for _ in range(n_rows)] for _ in range(2)])
+    values = np.array(
+        [[[draw(_value) for _ in range(n_cells)] for _ in range(n_rows)] for _ in range(2)]
+    ).reshape(2, n_rows, n_cells)
+    candidates = np.array(
+        [[[draw(st.booleans()) for _ in range(n_cells)] for _ in range(n_rows)] for _ in range(2)],
+        dtype=bool,
+    ).reshape(2, n_rows, n_cells)
+    rearm = draw(st.lists(_event_config, max_size=4))
+    return configs, serving, values, candidates, rearm
+
+
+@given(_event_rows())
+def test_event_table_entry_rows_match_per_candidate_masks(drawn):
+    """A row has entered exactly when some armed event's per-candidate
+    :func:`entry_mask` holds (a closed s-Measure gate leaving neighbor
+    events no candidates), although the table only reads each row's
+    candidate maximum."""
+    configs, serving, values, candidates, rearm = drawn
+    table = EventTable(len(configs))
+    for row, config in enumerate(configs):
+        # Arm something else first: re-arming must clear every old slot.
+        table.set_row(row, MeasurementConfig(events=tuple(rearm)))
+        table.set_row(row, config)
+    entered, gate = table.entry_rows(serving, values, candidates)
+    for row, config in enumerate(configs):
+        open_ = serving[0, row] <= config.s_measure
+        expected = False
+        for event in config.events:
+            metric = METRIC_AXIS[event.metric]
+            s = float(serving[metric, row])
+            if not event.event.needs_neighbor:
+                expected |= bool(entry_mask(event, s, None))
+                continue
+            mask = candidates[int(event.event.is_inter_rat), row]
+            neighbors = values[metric, row][mask] if open_ else np.zeros(0)
+            expected |= bool(entry_mask(event, s, neighbors).any())
+        assert gate[row] == open_
+        assert entered[row] == expected
 
 
 @given(values=st.lists(st.sampled_from([1, 2, 3, 4, 5]), max_size=200))

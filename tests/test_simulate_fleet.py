@@ -8,15 +8,26 @@ matter the fleet size, the worker count, or whether the batched
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from repro.cellnet.cell import Cell, CellId
+from repro.cellnet.deployment import DeploymentPlan
+from repro.cellnet.geo import Point
+from repro.cellnet.radio import RadioModel
+from repro.cellnet.rat import RAT
+from repro.cellnet.world import RadioEnvironment
 from repro.cli import main
+from repro.config.events import EventConfig, EventType
+from repro.config.lte import LteCellConfig, MeasurementConfig, ServingCellConfig
 from repro.core.analysis.instability import detect_instability
 from repro.datasets.records import HandoffInstance
+from repro.lint.fixtures import StaticConfigServer
 from repro.rrc.diag import DiagWriter
 from repro.rrc.messages import PhyServingMeas
 from repro.simulate.fleet import (
@@ -32,10 +43,12 @@ from repro.simulate.fleet import (
     trajectory_for,
     ue_specs,
 )
+from repro.simulate import fleet as fleet_module
+from repro.simulate.mobility import Trajectory
 from repro.simulate.runner import DriveSimulator
-from repro.simulate.scenarios import ScenarioSpec
+from repro.simulate.scenarios import DriveScenario, ScenarioSpec, drive_scenario
 from repro.ue.device import HandoffEvent
-from repro.ue.measurement import MeasurementEngine
+from repro.ue.measurement import BatchMeasurementState, MeasurementEngine
 
 #: Small-world spec matching the session ``scenario`` fixture; the
 #: process-level cache makes repeated ``build()`` calls free.
@@ -68,11 +81,22 @@ def fleet_results():
         ("duration_s", math.inf, ["--duration", "inf"]),
         ("duration_s", math.nan, ["--duration", "nan"]),
         ("n_ues", -3, ["--ues", "-3"]),
+        # Options without a CLI flag (argv None) are checked in the
+        # library only; each used to fail mid-run inside a shard.
+        ("transit_lines", 0, None),
+        ("carriers", (), None),
+        ("carriers", ("Z",), ["--carriers", "Z"]),
+        ("mix", (("parked", 0.5), ("flying", 0.5)), None),
+        ("mix", (("parked", -1.0), ("vehicle", 2.0)), None),
+        ("traffic", "video", None),
+        ("scenario", ScenarioSpec(name="nowhere"), ["--scenario", "nowhere"]),
     ],
 )
 def test_out_of_range_options_are_usage_errors(name, value, argv, tmp_path, capsys):
     with pytest.raises(ValueError, match=name):
         _options(**{name: value})
+    if argv is None:
+        return
     out = tmp_path / "fleet.json"
     assert main(["fleet", *argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -120,8 +144,26 @@ def test_parked_trajectory_holds_position():
 # -- bit-parity guarantees ------------------------------------------------
 
 
-def test_fleet_ue_matches_solo_drive(fleet_results):
+@pytest.fixture(scope="module")
+def fleet_by_traffic(fleet_results):
+    """The module's fleet, re-run per traffic service on demand."""
     options, results = fleet_results
+    runs = {options.traffic: fleet_results}
+
+    def run(traffic: str):
+        if traffic not in runs:
+            other = _options(traffic=traffic)
+            runs[traffic] = (other, FleetSimulator(other.scenario.build(), other).simulate())
+        return runs[traffic]
+
+    return run
+
+
+@pytest.mark.parametrize("traffic", ["speedtest", "iperf", "ping", "idle"])
+def test_fleet_ue_matches_solo_drive(fleet_by_traffic, traffic):
+    # Ping lanes draw RTTs from the throughput RNG on quiet ticks,
+    # iperf lanes carry a backlog, and idle lanes never batch.
+    options, results = fleet_by_traffic(traffic)
     scenario = options.scenario.build()
     for spec in ue_specs(options):
         if spec.profile == "parked" and spec.index > 0:
@@ -138,6 +180,53 @@ def test_fleet_ue_matches_solo_drive(fleet_results):
         assert solo.handoffs == ue.handoffs
         assert solo.diag_log == ue.diag_log
         assert solo.ping_rtts_ms == ue.ping_rtts_ms
+
+
+def test_mover_losing_its_serving_cell_matches_solo(monkeypatch):
+    # A mover drives out of its serving cell's prepared neighbourhood
+    # under an A5 that can never enter, so it stays quiet (steady) all
+    # the way out: the loss must still end in the solo drive's RLF.
+    origin = Point(6_000_000.0, 6_000_000.0)
+    plan = DeploymentPlan()
+    cells = []
+    for pci, (dx, channel) in enumerate([(0.0, 1975), (5_000.0, 850)]):
+        cell = Cell(
+            cell_id=CellId("A", plan.next_gci("A")), rat=RAT.LTE, channel=channel,
+            pci=200 + pci, location=origin.offset(dx, 0.0), city="Road",
+        )
+        plan.registry.add(cell)
+        cells.append(cell)
+    env = RadioEnvironment(plan, radio=RadioModel(seed=5, shadowing_sigma_db=0.0))
+    never = LteCellConfig(
+        serving=ServingCellConfig(),
+        measurement=MeasurementConfig(events=(EventConfig(
+            event=EventType.A5, threshold1=-140.0, threshold2=-44.0,
+            hysteresis=1.0, time_to_trigger_ms=1024,
+        ),)),
+    )
+    server = StaticConfigServer(env, {cell.cell_id: never for cell in cells})
+    # 4.2 km outward at 25 m/s.
+    road = Trajectory(
+        waypoints=(origin.offset(300.0, 0.0), origin.offset(4_500.0, 0.0)),
+        times_ms=(0, 168_000),
+    )
+    scenario = DriveScenario(name="road", cities=[], plan=plan, env=env, server=server)
+    options = _options(
+        n_ues=2, duration_s=road.duration_ms / 1000.0, mix=(("vehicle", 1.0),)
+    )
+    monkeypatch.setattr(FleetSimulator, "_trajectory", lambda self, spec: road)
+    results = FleetSimulator(scenario, options).simulate()
+    for spec in ue_specs(options):
+        solo = DriveSimulator(env, server, "A", seed=spec.seed, config_lint=False).run(
+            road, make_traffic(options.traffic)
+        )
+        # The solo drive re-camps on the far cell with no handoff: an RLF.
+        assert solo.handoffs == []
+        assert {s.serving for s in solo.samples} == {cell.cell_id for cell in cells}
+        ue = results[spec.index]
+        assert solo.samples == ue.samples
+        assert solo.handoffs == ue.handoffs
+        assert solo.diag_log == ue.diag_log
 
 
 def test_fleet_size_does_not_change_members(fleet_results):
@@ -308,6 +397,82 @@ def test_noise_tap_partition_invariance(env):
     served = [engine._noise(m).copy() for m in (3, 4096, 1, 800, 100)]
     tapped = np.concatenate(served)
     assert tapped.tolist() == unbuffered[: len(tapped)].tolist()
+
+
+@pytest.mark.parametrize("floor_dbm", [-126.0, -44.0], ids=["default-floor", "serving-only"])
+def test_batch_row_serves_the_tap_sequence(floor_dbm):
+    # A batched row reads its noise from its engine's tap every step;
+    # across a cell-count change, a detach (the engine steps on its own)
+    # and a re-attach, every round must equal an unbatched twin's, and
+    # the two taps end at the same place.  A -44 dBm floor leaves only
+    # the forced-eligible serving cell.
+    world = drive_scenario("lafayette", seed=7, config_seed=2018)
+    origin = world.cities[0].origin
+    snap_a = world.env.snapshot(origin, "A")
+    snap_b = world.env.snapshot(origin.offset(150.0, 0.0), "A")
+    assert len(snap_a.cells) != len(snap_b.cells)
+    serving = snap_a.strongest(rat=RAT.LTE)
+    assert serving in snap_b
+    # (snapshot, batched) per tick: attach on A, move to B, detach for
+    # four ticks, re-attach on B.
+    schedule = (
+        [(snap_a, True)] * 3
+        + [(snap_b, True)] * 5
+        + [(snap_a, False)] * 4
+        + [(snap_b, True)] * 4
+    )
+    solo, batched = (
+        MeasurementEngine(world.env, np.random.default_rng(41), detection_floor_dbm=floor_dbm)
+        for _ in range(2)
+    )
+    state = BatchMeasurementState(1)
+    # The row's prepared cell list while attached (None: detached).  A
+    # new one takes the full check, as the fleet does for its movers.
+    attached = None
+    for snap, in_batch in schedule:
+        for engine in (solo, batched):
+            engine.adopt_snapshot(snap.location, "A", snap)
+        expected = solo.step(snap.location, "A", serving)
+        if in_batch:
+            if snap.prepared is attached:
+                state.step([], [], [], [], movers=[0])
+            else:
+                state.step([0], [batched], [snap], [serving])
+                attached = snap.prepared
+            got = state.round_at(0)
+        else:
+            if attached is not None:
+                state.detach(0)
+                attached = None
+            got = batched.step(snap.location, "A", serving)
+        assert got.rsrp.tolist() == expected.rsrp.tolist()
+        assert got.rsrq.tolist() == expected.rsrq.tolist()
+        assert got.mask.tolist() == expected.mask.tolist()
+    state.detach(0)
+    assert batched._noise(500).tolist() == solo._noise(500).tolist()
+
+
+def test_batch_state_is_freed_when_simulate_returns(monkeypatch):
+    # Engines never refer back to the batch state, so every state a run
+    # creates (compaction retires some mid-run) dies by reference
+    # counting alone, without the cyclic collector.
+    states = []
+
+    class Recorded(BatchMeasurementState):
+        def __init__(self, n_rows):
+            super().__init__(n_rows)
+            states.append(weakref.ref(self))
+
+    monkeypatch.setattr(fleet_module, "BatchMeasurementState", Recorded)
+    options = _options(n_ues=6, duration_s=20.0, keep_samples=False)
+    simulator = FleetSimulator(options.scenario.build(), options)
+    gc.disable()
+    try:
+        simulator.simulate()
+        assert len(states) >= 2
+        assert all(ref() is None for ref in states)
+    finally:
+        gc.enable()
 
 
 def test_phy_template_matches_codec(scenario):
