@@ -178,7 +178,7 @@ class RadioModel:
         return clamp_rsrp(raw)
 
     def prepare(self, cells: list[Cell]) -> "PreparedCells":
-        """Precompute the static per-cell arrays used by ``rsrp_prepared``.
+        """Precompute the static per-cell arrays used by ``rsrp_prepared_batch``.
 
         The drive simulation snapshots the same neighborhood thousands of
         times; preparing once amortizes the array construction.
@@ -193,63 +193,17 @@ class RadioModel:
         return PreparedCells(cells=cells, xs=xs, ys=ys, tx=tx, freq_term=freq_term,
                              kx=kx, ky=ky, phase=phase)
 
-    def rsrp_prepared(self, prepared: "PreparedCells", location: Point) -> np.ndarray:
-        """Vectorized RSRP over a prepared cell set at one location.
-
-        Every operation mirrors the original expression op for op (same
-        ufuncs, same order), only routed through per-prepared scratch
-        buffers so the per-tick hot path stops paying one allocation per
-        intermediate.  Only the returned array is freshly allocated —
-        snapshots outlive the call and must not alias the scratch.
-        """
-        if not prepared.cells:
-            return np.zeros(0)
-        n = len(prepared.cells)
-        scratch = prepared._scratch
-        if not scratch:
-            scratch["pl"] = np.empty(n)
-            scratch["wave"] = np.empty_like(prepared.kx)
-            scratch["wave2"] = np.empty_like(prepared.kx)
-            scratch["shadow"] = np.empty(n)
-        pl, shadow = scratch["pl"], scratch["shadow"]
-        wave, wave2 = scratch["wave"], scratch["wave2"]
-        out = np.empty(n)
-        # distance = maximum(hypot(xs - x, ys - y), d0); PL = PL0
-        # + 10*n*log10(distance/d0) + freq_term, exactly as before.
-        np.subtract(prepared.xs, location.x, out=out)
-        np.subtract(prepared.ys, location.y, out=pl)
-        np.hypot(out, pl, out=pl)
-        np.maximum(pl, _REF_DISTANCE_M, out=pl)
-        np.divide(pl, _REF_DISTANCE_M, out=pl)
-        np.log10(pl, out=pl)
-        np.multiply(pl, 10.0 * self.path_loss_exponent, out=pl)
-        np.add(pl, self.reference_loss_db, out=pl)
-        np.add(pl, prepared.freq_term, out=pl)
-        # shadow = cos(kx*x + ky*y + phase).sum(axis=1) * sigma * sqrt(2/K).
-        np.multiply(prepared.kx, location.x, out=wave)
-        np.multiply(prepared.ky, location.y, out=wave2)
-        np.add(wave, wave2, out=wave)
-        np.add(wave, prepared.phase, out=wave)
-        np.cos(wave, out=wave)
-        np.sum(wave, axis=1, out=shadow)
-        np.multiply(shadow, self.shadowing.sigma_db, out=shadow)
-        np.multiply(shadow, math.sqrt(2.0 / self.shadowing.n_components), out=shadow)
-        np.subtract(prepared.tx, pl, out=out)
-        np.add(out, shadow, out=out)
-        return np.clip(out, -140.0, -44.0, out=out)
-
     def rsrp_prepared_batch(
         self, prepared: "PreparedCells", xs: np.ndarray, ys: np.ndarray
     ) -> np.ndarray:
         """RSRP rows for many locations over one prepared cell set.
 
-        Row ``s`` is bit-identical to
-        ``rsrp_prepared(prepared, Point(xs[s], ys[s]))``: the identical
-        ufunc chain in the identical order, broadcast over a leading
-        location axis.  Even the shadow-fading reduction keeps its
-        summation order — each (location, cell) component row stays
-        contiguous, so the pairwise sum matches the single-location
-        call element for element.
+        Row ``s`` holds every prepared cell's RSRP at ``(xs[s], ys[s])``
+        and depends on that location alone: each step is elementwise,
+        broadcast over a leading location axis, and the shadow-fading
+        reduction sums each (location, cell) component row contiguously,
+        so its summation order is the same in any batch.  A one-row call
+        is the single-location case.
         """
         if not prepared.cells:
             return np.zeros((len(xs), 0))
@@ -277,10 +231,12 @@ class RadioModel:
         return np.clip(out, -140.0, -44.0, out=out)
 
     def rsrp_many(self, cells: list[Cell], location: Point) -> np.ndarray:
-        """Vectorized RSRP of many cells at one location."""
-        if not cells:
-            return np.zeros(0)
-        return self.rsrp_prepared(self.prepare(cells), location)
+        """Vectorized RSRP of many cells at one location (a one-row batch)."""
+        return self.rsrp_prepared_batch(
+            self.prepare(cells),
+            np.array([location.x], dtype=float),
+            np.array([location.y], dtype=float),
+        )[0]
 
     def measure(
         self, cell: Cell, location: Point, co_channel: list[Cell] | None = None
@@ -333,9 +289,6 @@ class PreparedCells:
     phase: np.ndarray
     _rat_masks: dict = field(default_factory=dict, repr=False)
     _intra_masks: dict = field(default_factory=dict, repr=False)
-    #: Reusable intermediates of ``rsrp_prepared`` (one set per prepared
-    #: neighborhood; the simulation is single-threaded).
-    _scratch: dict = field(default_factory=dict, repr=False)
 
     @cached_property
     def cell_ids(self) -> list:
@@ -386,20 +339,34 @@ class PreparedCells:
 class RadioSnapshot:
     """All of one carrier's audible cells measured at one (time, place).
 
-    Built once per simulation tick by
-    :meth:`repro.cellnet.world.RadioEnvironment.snapshot`; RSRP is
-    computed vectorized up front, RSRQ/SINR lazily per cell from the
-    same co-channel power sums.
+    Built only by :meth:`repro.cellnet.world.RadioEnvironment.snapshot_batch`
+    and its one-spot form ``snapshot``, which compute every metric row of
+    the snapshots sharing a prepared cell set in one batched pass: a
+    snapshot arrives with its RSRP, RSRQ and SINR arrays plus the
+    per-cell power and co-channel totals :meth:`measure` reads.  Nothing
+    is computed lazily; only the per-cell :class:`Measurement` objects
+    are memoized.
     """
 
-    def __init__(self, model: RadioModel, prepared: PreparedCells, rsrp: np.ndarray,
-                 location: Point):
+    def __init__(
+        self,
+        model: RadioModel,
+        prepared: PreparedCells,
+        location: Point,
+        rsrp: np.ndarray,
+        rsrq: np.ndarray,
+        sinr: np.ndarray,
+        power_mw: np.ndarray,
+        own_totals: np.ndarray,
+    ):
         self._model = model
         self.prepared = prepared
         self.location = location
         self._rsrp = rsrp
-        #: Lazily computed (rsrq, sinr, power_mw, own_totals_mw) bundle.
-        self._metrics: tuple | None = None
+        self._rsrq = rsrq
+        self._sinr = sinr
+        self._power_mw = power_mw
+        self._own_totals = own_totals
         #: Per-cell :class:`Measurement` memo — parked/co-located UEs ask
         #: the same snapshot for the same serving cell tick after tick.
         self._measure_memo: dict = {}
@@ -416,55 +383,13 @@ class RadioSnapshot:
         """RSRP of one snapshot cell (KeyError if not audible)."""
         return float(self._rsrp[self.prepared.index[cell.cell_id]])
 
-    @property
-    def rsrp_array(self) -> np.ndarray:
-        """RSRP of every snapshot cell, aligned with ``cells``."""
-        return self._rsrp
-
-    def _compute_metrics(self) -> tuple:
-        if self._metrics is None:
-            power_mw = _dbm_to_mw(self._rsrp)
-            group_index, n_groups = self.prepared.channel_groups
-            totals = np.zeros(n_groups)
-            np.add.at(totals, group_index, power_mw)
-            noise_mw = float(_dbm_to_mw(NOISE_PER_PRB_DBM))
-            own_totals = totals[group_index]
-            interference = np.maximum(own_totals - power_mw, 0.0)
-            sinr = self._rsrp - 10.0 * np.log10(interference + noise_mw)
-            rsrq = self._rsrp - 10.0 * np.log10(12.0 * (own_totals + noise_mw))
-            rsrq = np.clip(rsrq, -19.5, -3.0)
-            self._metrics = (rsrq, sinr, power_mw, own_totals)
-        return self._metrics
-
     def metric_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rsrp, rsrq, sinr) arrays over all snapshot cells, vectorized.
+        """(rsrp, rsrq, sinr) arrays over all snapshot cells.
 
         Interference for cell i is the co-channel power sum of the other
-        snapshot cells on i's (RAT, channel) minus i's own power.  The
-        arrays are computed once per snapshot and cached.
+        snapshot cells on i's (RAT, channel) minus i's own power.
         """
-        if not self.cells:
-            empty = np.zeros(0)
-            return empty, empty, empty
-        rsrq, sinr, _, _ = self._compute_metrics()
-        return self._rsrp, rsrq, sinr
-
-    def prime_metrics(
-        self,
-        rsrq: np.ndarray,
-        sinr: np.ndarray,
-        power_mw: np.ndarray,
-        own_totals: np.ndarray,
-    ) -> None:
-        """Install externally computed metric arrays (fleet batching).
-
-        The arrays must be exactly what :meth:`_compute_metrics` would
-        have produced for this snapshot's RSRP — the fleet simulator
-        computes them for many snapshots in one batched pass
-        (:func:`compute_metrics_batch`) and hands each snapshot its row.
-        """
-        if self._metrics is None:
-            self._metrics = (rsrq, sinr, power_mw, own_totals)
+        return self._rsrp, self._rsrq, self._sinr
 
     def measure(self, cell: Cell) -> Measurement:
         """Full measurement of one snapshot cell (memoized per cell)."""
@@ -473,8 +398,7 @@ class RadioSnapshot:
         if measurement is None:
             i = self.prepared.index[cell.cell_id]
             rsrp = float(self._rsrp[i])
-            _, _, power_mw, own_totals = self._compute_metrics()
-            interference_mw = max(float(own_totals[i]) - float(power_mw[i]), 0.0)
+            interference_mw = max(float(self._own_totals[i]) - float(self._power_mw[i]), 0.0)
             measurement = self._model._finish_measurement(cell, rsrp, interference_mw)
             memo[cell.cell_id] = measurement
         return measurement
@@ -497,11 +421,11 @@ def compute_metrics_batch(
     """(rsrq, sinr, power_mw, own_totals) for many snapshots at once.
 
     ``rsrp_mat`` stacks the RSRP rows of several snapshots over the same
-    prepared cell list (UE x cell).  Row ``g`` of every returned array is
-    bit-identical to what :meth:`RadioSnapshot._compute_metrics` computes
-    from ``rsrp_mat[g]`` alone: every operation is elementwise, and the
-    batched ``np.add.at`` iterates its indices in row-major order, which
-    preserves each row's per-group accumulation order.
+    prepared cell list (snapshot x cell).  Row ``g`` of every returned
+    array depends on ``rsrp_mat[g]`` alone: every operation is
+    elementwise, and the batched ``np.add.at`` iterates its indices in
+    row-major order, which keeps each row's per-group accumulation in
+    cell order whatever the other rows hold.
     """
     power_mw = _dbm_to_mw(rsrp_mat)
     group_index, n_groups = prepared.channel_groups

@@ -22,6 +22,7 @@ from repro.cellnet.radio import (
     PreparedCells,
     RadioModel,
     RadioSnapshot,
+    compute_metrics_batch,
 )
 from repro.cellnet.rat import RAT
 
@@ -195,15 +196,13 @@ class RadioEnvironment:
         carrier: str,
         radius_m: float = 3000.0,
     ) -> RadioSnapshot:
-        """Vectorized per-tick measurement of one carrier's nearby cells.
+        """Radio snapshot of one carrier's nearby cells at one spot.
 
-        This is the hot path of the drive simulation: RSRP for every
-        audible cell is computed in one numpy pass, and the snapshot
-        serves RSRQ/SINR lazily from the same co-channel power sums.
+        A one-spot pass of :meth:`snapshot_batch`'s physics, equal bit
+        for bit to that method's entry for ``(location, carrier)``.
         """
         prepared = self.prepared_for(location, carrier, radius_m)
-        rsrp = self.radio.rsrp_prepared(prepared, location)
-        return RadioSnapshot(self.radio, prepared, rsrp, location)
+        return self._snapshot_rows(prepared, [location])[0]
 
     def prepared_for(
         self, location: Point, carrier: str, radius_m: float = 3000.0
@@ -238,12 +237,15 @@ class RadioEnvironment:
     ) -> list[RadioSnapshot]:
         """Snapshots of many (location, carrier) spots, batched physics.
 
-        Spots sharing a prepared neighborhood run the RSRP chain as one
-        broadcast pass (:meth:`RadioModel.rsrp_prepared_batch`).  Entry
-        ``j`` is bit-identical to ``snapshot(spots[j][0], spots[j][1])``
-        — RSRQ/SINR stay lazy, exactly as the single-spot path leaves
-        them (their per-snapshot accumulation is sequential by
-        construction, so batching them saves nothing).
+        Spots are grouped by prepared neighborhood, looked up in list
+        order (the prepared-cell LRU sees them as it would see one
+        :meth:`snapshot` call each), and each group runs one RSRP pass
+        (:meth:`RadioModel.rsrp_prepared_batch`) and one RSRQ/SINR pass
+        (:func:`~repro.cellnet.radio.compute_metrics_batch`), whatever
+        its size.  A row depends on its own spot alone, so entry ``j``
+        equals ``snapshot(*spots[j])`` bit for bit.  RSRQ/SINR come with
+        the RSRP rows rather than on demand, since every measurement
+        round reads them.
         """
         groups: dict[int, tuple[PreparedCells, list[int]]] = {}
         for j, (location, carrier) in enumerate(spots):
@@ -255,20 +257,32 @@ class RadioEnvironment:
                 entry[1].append(j)
         out: list[RadioSnapshot | None] = [None] * len(spots)
         for prepared, idxs in groups.values():
-            if len(idxs) == 1 or not prepared.cells:
-                # Lone spots keep the scratch-buffered single-location
-                # chain (the broadcast pass only pays off shared).
-                for j in idxs:
-                    rsrp = self.radio.rsrp_prepared(prepared, spots[j][0])
-                    out[j] = RadioSnapshot(self.radio, prepared, rsrp, spots[j][0])
-                continue
-            count = len(idxs)
-            xs = np.fromiter((spots[j][0].x for j in idxs), float, count=count)
-            ys = np.fromiter((spots[j][0].y for j in idxs), float, count=count)
-            rsrp = self.radio.rsrp_prepared_batch(prepared, xs, ys)
-            for k, j in enumerate(idxs):
-                out[j] = RadioSnapshot(self.radio, prepared, rsrp[k], spots[j][0])
+            snaps = self._snapshot_rows(prepared, [spots[j][0] for j in idxs])
+            for j, snap in zip(idxs, snaps):
+                out[j] = snap
         return out
+
+    def _snapshot_rows(
+        self, prepared: PreparedCells, locations: list[Point]
+    ) -> list[RadioSnapshot]:
+        """Snapshots of ``prepared``'s cells at ``locations``, one pass.
+
+        The one physics body of :meth:`snapshot` and
+        :meth:`snapshot_batch`, which must not call each other: a
+        profiler wrapping both public names would count one pass twice.
+        """
+        count = len(locations)
+        xs = np.fromiter((location.x for location in locations), float, count=count)
+        ys = np.fromiter((location.y for location in locations), float, count=count)
+        radio = self.radio
+        rsrp = radio.rsrp_prepared_batch(prepared, xs, ys)
+        rsrq, sinr, power_mw, own_totals = compute_metrics_batch(prepared, rsrp)
+        return [
+            RadioSnapshot(radio, prepared, location, rp, rq, sn, pw, own)
+            for location, rp, rq, sn, pw, own in zip(
+                locations, rsrp, rsrq, sinr, power_mw, own_totals
+            )
+        ]
 
     def reserve_snapshot_capacity(self, occupied_keys: int) -> None:
         """Grow the prepared-cache capacity to fit a fleet's working set.

@@ -10,10 +10,8 @@ grouping, not point lookup.  Three concessions to scale:
   per-parameter reads (``unique_values``, ``samples_per_cell``,
   ``parameters``) stop rescanning millions of rows on every call; every
   mutation drops all indexes, and each is rebuilt on demand.
-* ``ingest`` consumes an *iterator* of row batches, which is how the
-  pipelined builders stream a harvest in without ever materializing
-  the full archive, and ``save`` writes atomically (temp file +
-  ``os.replace``) so a crashed build never leaves a torn JSONL behind.
+* ``save`` writes atomically (temp file + ``os.replace``) so a crashed
+  build never leaves a torn JSONL behind.
 * ``ConfigSampleStore.load`` shares equal field values: it interns the
   category strings and passes the other fields through one table per
   load, so millions of reloaded samples point at a few thousand value
@@ -103,21 +101,6 @@ class ConfigSampleStore:
             self._samples.extend(samples)
         finally:
             self._indexes.clear()
-
-    def ingest(self, batches: Iterable[Iterable[ConfigSample]]) -> int:
-        """Stream batches of samples in (one batch per work unit).
-
-        Returns the number of samples added.  The batches iterator is
-        consumed lazily, so a pipelined build's harvest flows straight
-        into the store as units complete.
-        """
-        before = len(self._samples)
-        try:
-            for batch in batches:
-                self._samples.extend(batch)
-        finally:
-            self._indexes.clear()
-        return len(self._samples) - before
 
     def __len__(self) -> int:
         return len(self._samples)
@@ -257,13 +240,6 @@ class HandoffInstanceStore:
 
     def extend(self, instances: Iterable[HandoffInstance]) -> None:
         self._instances.extend(instances)
-
-    def ingest(self, batches: Iterable[Iterable[HandoffInstance]]) -> int:
-        """Stream batches of instances in (one batch per work unit)."""
-        before = len(self._instances)
-        for batch in batches:
-            self._instances.extend(batch)
-        return len(self._instances) - before
 
     def __len__(self) -> int:
         return len(self._instances)

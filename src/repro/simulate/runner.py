@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.cellnet.cell import CellId
 from repro.cellnet.geo import Point
-from repro.cellnet.radio import RadioSnapshot, compute_metrics_batch
+from repro.cellnet.radio import RadioSnapshot
 from repro.cellnet.world import RadioEnvironment
 from repro.rrc.broadcast import ConfigServer
 from repro.rrc.diag import DiagWriter
@@ -100,15 +100,14 @@ class DriveResult:
 class SnapshotFeed:
     """Look-ahead physics of one trajectory on one carrier.
 
-    A trajectory's positions are a pure function of time, so the RSRP
-    chain of its next :attr:`LOOKAHEAD_TICKS` tick positions runs as
-    one :meth:`~repro.cellnet.world.RadioEnvironment.snapshot_batch`
-    pass, and :func:`~repro.cellnet.radio.compute_metrics_batch` primes
-    their RSRQ/SINR once per shared prepared set.  Each snapshot is
-    bit-identical to what ``env.snapshot`` builds at that (location,
-    carrier); only when it is computed changes.  The batch queries its
-    spots strictly in tick order, so the prepared-cell LRU sees the same
-    first query point in every grid square as per-tick snapshots do.
+    A trajectory's positions are a pure function of time, so the physics
+    of its next :attr:`LOOKAHEAD_TICKS` tick positions runs as one
+    :meth:`~repro.cellnet.world.RadioEnvironment.snapshot_batch` pass.
+    Each snapshot is bit-identical to what ``env.snapshot`` builds at
+    that (location, carrier); only when it is computed changes.  The
+    batch queries its spots strictly in tick order, so the prepared-cell
+    LRU sees the same first query point in every grid square as
+    per-tick snapshots do.
 
     :meth:`location` hands a tick its position, from the current chunk
     when one covers the tick.  :meth:`snapshot` hands it its snapshot,
@@ -177,20 +176,6 @@ class SnapshotFeed:
         snaps = self.env.snapshot_batch(
             [(location, self.carrier) for location in locations], radius_m=self.radius_m
         )
-        # Rows of one batched pass per shared prepared set are
-        # bit-identical to each snapshot's own lazy computation.
-        groups: dict[int, list[RadioSnapshot]] = {}
-        for snap in snaps:
-            if snap.prepared.cells:
-                groups.setdefault(id(snap.prepared), []).append(snap)
-        for members in groups.values():
-            if len(members) < 2:
-                continue
-            rsrq, sinr, power_mw, own_totals = compute_metrics_batch(
-                members[0].prepared, np.stack([s.rsrp_array for s in members])
-            )
-            for j, snap in enumerate(members):
-                snap.prime_metrics(rsrq[j], sinr[j], power_mw[j], own_totals[j])
         self._anchor, self._locations, self._snaps = now_ms, locations, snaps
         return snaps[0]
 
@@ -326,12 +311,7 @@ class DriveLane:
         ``serving_rsrq`` are this round's filtered serving metrics.
         """
         ue = self.ue
-        last = ue._last_phy_meas_ms
-        if last is not None and now_ms - last < ue.phy_meas_interval_ms:
-            ue.quiet_tick(now_ms)
-        elif len(ue._listeners) != 1:
-            ue.quiet_tick(now_ms, serving_rsrp, serving_rsrq)
-        else:
+        if len(ue._listeners) == 1 and ue._phy_meas_due(now_ms):
             # Due PHY serving measurement, written directly: the lane's
             # writer is the device's only listener, so the notify ->
             # dataclass -> encode dispatch chain reduces to the writer's
@@ -342,6 +322,8 @@ class DriveLane:
             meas.non_intra_freq_rounds += 1
             ue._last_phy_meas_ms = now_ms
             self.writer.write_phy_serving(now_ms, ue.serving, serving_rsrp, serving_rsrq)
+        else:
+            ue.quiet_tick(now_ms, serving_rsrp, serving_rsrq)
 
     def sample(self, now_ms: int) -> None:
         """Ground truth, delivered traffic and ping probes of this tick."""
@@ -433,10 +415,11 @@ class DriveSimulator:
             cached per (server, carrier), so fleets pay for it once.
         vectorized: Run the UE's array-resident hot path, fed by the
             look-ahead :class:`SnapshotFeed` (default), or the scalar
-            reference loop with its own per-tick snapshot; drives are
-            bit-identical either way.  Setting ``REPRO_PROFILE=1``
-            additionally attaches per-stage cumulative timings to each
-            :class:`DriveResult`.
+            reference loop with its own per-tick one-spot snapshot;
+            drives are bit-identical either way, so comparing the two
+            also checks the feed's batched rows against one-spot
+            passes.  Setting ``REPRO_PROFILE=1`` additionally attaches
+            per-stage cumulative timings to each :class:`DriveResult`.
     """
 
     def __init__(

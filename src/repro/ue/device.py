@@ -266,15 +266,14 @@ class UserEquipment:
         return now_ms < self.interrupted_until_ms
 
     def _phy_meas_due(self, now_ms: int) -> bool:
-        if self._last_phy_meas_ms is None:
-            return True
-        return now_ms - self._last_phy_meas_ms >= self.phy_meas_interval_ms
+        last = self._last_phy_meas_ms
+        return last is None or now_ms - last >= self.phy_meas_interval_ms
 
-    def _emit_phy_meas(self, now_ms: int, serving_meas: FilteredMeasurement) -> None:
+    def _emit_phy(self, now_ms: int, cell: Cell, rsrp_dbm: float, rsrq_db: float) -> None:
+        """Notify a PhyServingMeas record of ``cell`` when one is due."""
         if not self._phy_meas_due(now_ms):
             return
         self._last_phy_meas_ms = now_ms
-        cell = serving_meas.cell
         self._notify(
             now_ms,
             PhyServingMeas(
@@ -282,13 +281,16 @@ class UserEquipment:
                 gci=cell.cell_id.gci,
                 channel=cell.channel,
                 rat=cell.rat.value,
-                rsrp_dbm=serving_meas.rsrp_dbm,
-                rsrq_db=serving_meas.rsrq_db,
+                rsrp_dbm=rsrp_dbm,
+                rsrq_db=rsrq_db,
                 sinr_db=0.0,
                 rrc_connected=self.state is RrcState.CONNECTED,
             ),
             "down",
         )
+
+    def _emit_phy_meas(self, now_ms: int, serving_meas: FilteredMeasurement) -> None:
+        self._emit_phy(now_ms, serving_meas.cell, serving_meas.rsrp_dbm, serving_meas.rsrq_db)
 
     @staticmethod
     def _meas_result(fm: FilteredMeasurement) -> MeasResult:
@@ -325,12 +327,7 @@ class UserEquipment:
         self.handoffs.extend(events)
         return events
 
-    def quiet_tick(
-        self,
-        now_ms: int,
-        serving_rsrp: float | None = None,
-        serving_rsrq: float | None = None,
-    ) -> None:
+    def quiet_tick(self, now_ms: int, serving_rsrp: float, serving_rsrq: float) -> None:
         """Bookkeeping for a tick the batched pass proved a no-op.
 
         The fleet's batched event pass calls this instead of
@@ -342,32 +339,15 @@ class UserEquipment:
         periodic report is due.  Under those facts
         :meth:`_connected_step` changes nothing besides the round
         counters and (possibly) the periodic PHY serving-measurement
-        emission — so only those happen here, bit-identically.  The
-        caller passes the serving cell's filtered metrics exactly when
-        the PHY emission is due (it checks the cadence itself); no
+        emission — so only those happen here, bit-identically, from the
+        serving cell's filtered metrics the caller passes in.  No
         measurement round is materialized, so ``last_measurements`` is
         not updated on quiet ticks.
         """
         meas = self.meas
         meas.intra_freq_rounds += 1
         meas.non_intra_freq_rounds += 1
-        if serving_rsrp is not None:
-            self._last_phy_meas_ms = now_ms
-            cell = self.serving
-            self._notify(
-                now_ms,
-                PhyServingMeas(
-                    carrier=cell.carrier,
-                    gci=cell.cell_id.gci,
-                    channel=cell.channel,
-                    rat=cell.rat.value,
-                    rsrp_dbm=serving_rsrp,
-                    rsrq_db=serving_rsrq,
-                    sinr_db=0.0,
-                    rrc_connected=self.state is RrcState.CONNECTED,
-                ),
-                "down",
-            )
+        self._emit_phy(now_ms, self.serving, serving_rsrp, serving_rsrq)
 
     # -- connected mode -----------------------------------------------------
 

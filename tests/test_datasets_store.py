@@ -200,16 +200,11 @@ def test_parameter_index_invalidated_on_mutation():
     store.extend([_sample(carrier="T", gci=3, parameter="p_max", value=20)])
     assert store.samples_per_cell("p_max") == {("T", 2): 1, ("T", 3): 1}
     assert [s.gci for s in store.for_carrier("T")] == [2, 3]
-    store.ingest([[_sample(carrier="T", gci=4, parameter="p_max", value=18)]])
-    assert store.samples_per_cell("p_max") == {
-        ("T", 2): 1, ("T", 3): 1, ("T", 4): 1,
-    }
-    assert [s.gci for s in store.for_carrier("T")] == [2, 3, 4]
     assert [s.gci for s in store.for_carrier("A")] == [1]
 
 
 def test_parameter_index_invalidated_when_mutation_raises():
-    """A generator that dies mid-extend/ingest still mutates the list
+    """A generator that dies mid-extend still mutates the list
     (``list.extend`` keeps consumed elements), so the lazy index must be
     invalidated even on the exception path."""
 
@@ -226,16 +221,6 @@ def test_parameter_index_invalidated_when_mutation_raises():
     assert store.parameters() == ["p_max", "q_hyst"]
     assert store.samples_per_cell("p_max") == {("T", 2): 1}
     assert [s.gci for s in store.for_carrier("T")] == [2]
-
-    def exploding_batches():
-        yield [_sample(carrier="T", gci=3, parameter="p_max", value=20)]
-        raise RuntimeError("source died")
-
-    assert store.parameters() == ["p_max", "q_hyst"]  # rebuild the index
-    with pytest.raises(RuntimeError):
-        store.ingest(exploding_batches())
-    assert store.samples_per_cell("p_max") == {("T", 2): 1, ("T", 3): 1}
-    assert [s.gci for s in store.for_carrier("T")] == [2, 3]
 
 
 # -- field index --------------------------------------------------------------
@@ -284,35 +269,9 @@ def test_mutating_a_sub_store_leaves_parent_partitions():
     sub = store.for_carrier("A")
     sub.add(_sample(carrier="A", gci=99))
     sub.extend([_sample(carrier="A", gci=98, city="W")])
-    sub.ingest([[_sample(carrier="A", gci=97, rat="EVDO")]])
-    assert len(sub) == len(before["carrier"]["A"]) + 3
+    assert len(sub) == len(before["carrier"]["A"]) + 2
     assert len(store) == 400
     for field, partitions in before.items():
         for value, samples in partitions.items():
             assert list(_FILTERS[field](store, value)) == samples
     assert len(store.for_city("W")) == 0
-    assert len(store.for_rat("EVDO")) == 0
-
-
-# -- iterator ingest ----------------------------------------------------------
-
-def test_ingest_streams_batches_lazily():
-    store = ConfigSampleStore()
-    seen = []
-
-    def batches():
-        for gci in (1, 2):
-            batch = [_sample(gci=gci)]
-            seen.append(len(store))  # store grows between batches
-            yield batch
-
-    added = store.ingest(batches())
-    assert added == 2
-    assert len(store) == 2
-    assert seen == [0, 1]
-
-
-def test_handoff_ingest_counts():
-    store = HandoffInstanceStore()
-    assert store.ingest([[_instance()], [], [_instance(kind="idle")]]) == 2
-    assert len(store.active()) == 1 and len(store.idle()) == 1
