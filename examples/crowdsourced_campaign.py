@@ -36,7 +36,7 @@ def main() -> None:
 
     executed = server.run_all_pending()
     print(f"executed {executed} patches; archive holds "
-          f"{sum(len(l.log_bytes) for l in server.archive):,} bytes of logs")
+          f"{sum(len(log.log_bytes) for log in server.archive):,} bytes of logs")
 
     store = ConfigSampleStore(server.harvest_config_samples())
     print(f"harvested {len(store):,} configuration samples from "

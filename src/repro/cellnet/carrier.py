@@ -14,7 +14,7 @@ EVDO/CDMA1x only in Verizon, Sprint and China Telecom).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cellnet.rat import RAT
 

@@ -25,7 +25,7 @@ hysteresis sign flipped, exactly as Eq. (2) of the paper shows for A3.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as np

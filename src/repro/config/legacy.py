@@ -11,7 +11,7 @@ Each config class yields (name, value) samples whose names resolve in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from repro.cellnet.rat import RAT
 from repro.config.parameters import spec_by_name

@@ -307,6 +307,10 @@ for _rat, _expected in _EXPECTED_COUNTS.items():
         raise AssertionError(f"duplicate parameter names in {_rat.value} registry")
 
 
+#: ``{name: spec}`` per RAT; exact since the check above rejects duplicates.
+_BY_NAME = {rat: {spec.name: spec for spec in specs} for rat, specs in REGISTRY.items()}
+
+
 def parameters_for(rat: RAT) -> tuple[ParameterSpec, ...]:
     """All parameter specs of one RAT."""
     return REGISTRY[rat]
@@ -323,10 +327,11 @@ def spec_by_name(rat: RAT, name: str) -> ParameterSpec:
     Raises:
         KeyError: If the name is not in the registry.
     """
-    for spec in REGISTRY[rat]:
-        if spec.name == name:
-            return spec
-    raise KeyError(f"unknown {rat.value} parameter {name!r}")
+    table = _BY_NAME[rat]
+    try:
+        return table[name]
+    except KeyError:
+        raise KeyError(f"unknown {rat.value} parameter {name!r}") from None
 
 
 def idle_state_parameters(rat: RAT) -> tuple[ParameterSpec, ...]:

@@ -102,13 +102,13 @@ def carrier_policy_profile(snapshots) -> dict[str, dict]:
         )
     out: dict[str, dict] = {}
     for carrier, labels in sorted(per_carrier.items()):
-        counts = Counter(l.label for l in labels)
-        triggers = Counter(l.trigger for l in labels)
+        counts = Counter(policy.label for policy in labels)
+        triggers = Counter(policy.trigger for policy in labels)
         total = len(labels)
         out[carrier] = {
             "n": total,
             "labels": {k: v / total for k, v in counts.items()},
             "triggers": {k: v / total for k, v in triggers.items()},
-            "mean_eagerness": sum(l.eagerness for l in labels) / total,
+            "mean_eagerness": sum(policy.eagerness for policy in labels) / total,
         }
     return out

@@ -19,9 +19,7 @@ import io
 from repro.rrc.diag import DiagWriter
 from repro.rrc.messages import (
     LegacySystemInfo,
-    MeasurementReport,
     Message,
-    PhyServingMeas,
     RrcConnectionReconfiguration,
     Sib1,
     Sib3,

@@ -364,14 +364,13 @@ def _park_witness(
 
 
 # ---------------------------------------------------------------------------
-# Rule internals: generators yielding (Issue, CoverageWitness) pairs
-
-
-_Generated = Iterator[tuple[Issue, CoverageWitness]]
+# Coverage-scope rules: each body takes one cell with its fire regions and
+# critical-band gaps and yields issues that carry their witness; the
+# engine routes coverage audits through CoverageAnalyzer
 
 
 def _issue(snapshot: CellConfigSnapshot, message: str, subject: str,
-           severity: str | None = None) -> Issue:
+           witness: CoverageWitness, severity: str | None = None) -> Issue:
     return Issue(
         message=message,
         severity=severity,
@@ -379,14 +378,17 @@ def _issue(snapshot: CellConfigSnapshot, message: str, subject: str,
         gci=snapshot.gci,
         channel=snapshot.channel,
         subject=subject,
+        witness=witness,
     )
 
 
-def _hc401(
+@rule("HC401", "dead-zone", scope="coverage", severity="problem",
+      summary="Critical serving-RSRP band where no handoff event can fire")
+def dead_zone(
     snapshot: CellConfigSnapshot,
     regions: Sequence[FireRegion],
     gaps: Sequence[Interval],
-) -> _Generated:
+) -> Iterator[Issue]:
     rescuers = _rescue_regions(regions)
     for gap in gaps:
         if gap.width < DEAD_ZONE_MIN_DB:
@@ -409,7 +411,7 @@ def _hc401(
                 f"{ACCEPTABLE_SERVICE_DBM + 8.0:g} dBm"
             ),
         )
-        yield _issue(snapshot, message, f"gap:{gap.lo:g}:{gap.hi:g}"), witness
+        yield _issue(snapshot, message, f"gap:{gap.lo:g}:{gap.hi:g}", witness)
 
 
 #: Event families whose absolute entry regions can shadow each other
@@ -420,11 +422,13 @@ _SHADOW_FAMILIES = (
 )
 
 
-def _hc402(
+@rule("HC402", "shadowed-event", scope="coverage", severity="warning",
+      summary="Event entry region fully subsumed by a faster event")
+def shadowed_event(
     snapshot: CellConfigSnapshot,
     regions: Sequence[FireRegion],
     gaps: Sequence[Interval],
-) -> _Generated:
+) -> Iterator[Issue]:
     by_label = {r.label: r for r in regions}
     meas = snapshot.meas_config
     config = snapshot.lte_config
@@ -479,15 +483,18 @@ def _hc402(
                 yield _issue(
                     snapshot, message,
                     f"shadow:{shadowed_region.label}:{dom_region.label}",
-                ), witness
+                    witness,
+                )
                 break  # one dominating event per shadowed event suffices
 
 
-def _hc403(
+@rule("HC403", "measurement-gap-hole", scope="coverage", severity="warning",
+      summary="A2 arms measurement after entry thresholds are unreachable")
+def measurement_gap_hole(
     snapshot: CellConfigSnapshot,
     regions: Sequence[FireRegion],
     gaps: Sequence[Interval],
-) -> _Generated:
+) -> Iterator[Issue]:
     meas = snapshot.meas_config
     config = snapshot.lte_config
     if meas is None and config is not None:
@@ -539,16 +546,18 @@ def _hc403(
                 subject_event=region.label,
             )
             yield _issue(
-                snapshot, message, f"hole:{a2_label}:{region.label}",
-            ), witness
+                snapshot, message, f"hole:{a2_label}:{region.label}", witness,
+            )
             break  # the tightest gate already proves the hole
 
 
-def _hc404(
+@rule("HC404", "ttt-exceeds-dwell", scope="coverage", severity="warning",
+      summary="Time-to-trigger exceeds the dwell possible in the fire region")
+def ttt_exceeds_dwell(
     snapshot: CellConfigSnapshot,
     regions: Sequence[FireRegion],
     gaps: Sequence[Interval],
-) -> _Generated:
+) -> Iterator[Issue]:
     for region in _rescue_regions(regions):
         if region.serving.empty or region.relative:
             continue
@@ -579,14 +588,16 @@ def _hc404(
             ),
             subject_event=region.label,
         )
-        yield _issue(snapshot, message, f"dwell:{region.label}"), witness
+        yield _issue(snapshot, message, f"dwell:{region.label}", witness)
 
 
-def _hc405(
+@rule("HC405", "leave-entry-overlap", scope="coverage", severity="warning",
+      summary="Serving-leave and target-entry thresholds overlap (ping-pong)")
+def leave_entry_overlap(
     snapshot: CellConfigSnapshot,
     regions: Sequence[FireRegion],
     gaps: Sequence[Interval],
-) -> _Generated:
+) -> Iterator[Issue]:
     meas = snapshot.meas_config
     config = snapshot.lte_config
     if meas is None and config is not None:
@@ -636,8 +647,9 @@ def _hc405(
                 subject_event=label,
             )
             yield _issue(
-                snapshot, message, f"overlap:{label}", severity=severity
-            ), witness
+                snapshot, message, f"overlap:{label}", witness,
+                severity=severity,
+            )
         elif event.event in (EventType.A3, EventType.A6):
             overlap = -a3_separation_band(event)
             if overlap <= 0.0:
@@ -658,60 +670,7 @@ def _hc405(
                 ),
                 subject_event=label,
             )
-            yield _issue(
-                snapshot, message, f"overlap:{label}"
-            ), witness
-
-
-_GENERATORS = {
-    "HC401": _hc401,
-    "HC402": _hc402,
-    "HC403": _hc403,
-    "HC404": _hc404,
-    "HC405": _hc405,
-}
-
-
-# ---------------------------------------------------------------------------
-# Registered rule wrappers (metadata + standalone execution for --explain;
-# the engine routes coverage audits through CoverageAnalyzer instead)
-
-
-def _run_generator(code: str, snapshot: CellConfigSnapshot) -> Iterator[Issue]:
-    regions = fire_regions(snapshot)
-    gaps = coverage_gaps(regions)
-    for issue, _ in _GENERATORS[code](snapshot, regions, gaps):
-        yield issue
-
-
-@rule("HC401", "dead-zone", scope="coverage", severity="problem",
-      summary="Critical serving-RSRP band where no handoff event can fire")
-def dead_zone(snapshot: CellConfigSnapshot) -> Iterator[Issue]:
-    yield from _run_generator("HC401", snapshot)
-
-
-@rule("HC402", "shadowed-event", scope="coverage", severity="warning",
-      summary="Event entry region fully subsumed by a faster event")
-def shadowed_event(snapshot: CellConfigSnapshot) -> Iterator[Issue]:
-    yield from _run_generator("HC402", snapshot)
-
-
-@rule("HC403", "measurement-gap-hole", scope="coverage", severity="warning",
-      summary="A2 arms measurement after entry thresholds are unreachable")
-def measurement_gap_hole(snapshot: CellConfigSnapshot) -> Iterator[Issue]:
-    yield from _run_generator("HC403", snapshot)
-
-
-@rule("HC404", "ttt-exceeds-dwell", scope="coverage", severity="warning",
-      summary="Time-to-trigger exceeds the dwell possible in the fire region")
-def ttt_exceeds_dwell(snapshot: CellConfigSnapshot) -> Iterator[Issue]:
-    yield from _run_generator("HC404", snapshot)
-
-
-@rule("HC405", "leave-entry-overlap", scope="coverage", severity="warning",
-      summary="Serving-leave and target-entry thresholds overlap (ping-pong)")
-def leave_entry_overlap(snapshot: CellConfigSnapshot) -> Iterator[Issue]:
-    yield from _run_generator("HC405", snapshot)
+            yield _issue(snapshot, message, f"overlap:{label}", witness)
 
 
 def coverage_rules(codes: Sequence[str] | None = None) -> tuple[RegisteredRule, ...]:
@@ -730,7 +689,6 @@ def coverage_rules(codes: Sequence[str] | None = None) -> tuple[RegisteredRule, 
 class CellCoverageResult:
     """What analyzing one cell produced (cache value)."""
 
-    digest: str
     findings: tuple[Finding, ...]
     witnesses: tuple[tuple[str, CoverageWitness], ...]
     regions: int
@@ -765,12 +723,12 @@ def analyze_cell(
     witnesses: list[tuple[str, CoverageWitness]] = []
     for code in codes:
         registered = get_rule(code)
-        for issue, witness in _GENERATORS[code](snapshot, regions, gaps):
+        for issue in registered.func(snapshot, regions, gaps):
+            assert issue.witness is not None
             finding = registered.stamp(issue)
             findings.append(finding)
-            witnesses.append((finding.fingerprint, witness))
+            witnesses.append((finding.fingerprint, issue.witness))
     return CellCoverageResult(
-        digest=snapshot_digest(snapshot),
         findings=tuple(sort_findings(findings)),
         witnesses=tuple(witnesses),
         regions=len(regions),

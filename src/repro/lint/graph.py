@@ -148,9 +148,12 @@ class CellPolicy:
     rules: tuple[LayerRule, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolicyEdge:
-    """One concrete (wildcard-expanded) edge of the layer graph."""
+    """One concrete (wildcard-expanded) edge of the layer graph.
+
+    Slotted: components hold every edge for the whole graph pass.
+    """
 
     src: LayerRef
     dst: LayerRef
@@ -168,13 +171,15 @@ class ComponentGraph:
     """One connected component of one carrier's layer graph in one city.
 
     Self-contained and picklable so a :class:`GraphComponentUnit` can
-    carry it to a pool worker.
+    carry it to a pool worker.  ``edges`` (``component_edges(policies)``,
+    sliced by :func:`build_components`) is the one copy graph rules read.
     """
 
     carrier: str
     city: str
     digest: str
     policies: tuple[CellPolicy, ...]
+    edges: tuple[PolicyEdge, ...]
 
     @property
     def layers(self) -> tuple[LayerRef, ...]:
@@ -186,7 +191,6 @@ class ComponentGraph:
 class ComponentResult:
     """What analyzing one component produced (cache value)."""
 
-    digest: str
     findings: tuple[Finding, ...]
     n_edges: int
     cycles_checked: int
@@ -440,11 +444,14 @@ def _expand_targets(
     return [ly for ly in layers if ly == target]
 
 
-def component_edges(component: ComponentGraph) -> list[PolicyEdge]:
-    """Every concrete edge of a component, deterministically ordered."""
-    layers = component.layers
+def component_edges(policies: Sequence[CellPolicy]) -> list[PolicyEdge]:
+    """Every concrete edge of some policies, deterministically ordered.
+
+    Wildcard targets expand over the layers those policies deploy.
+    """
+    layers = sorted({p.layer for p in policies})
     edges: list[PolicyEdge] = []
-    for policy in component.policies:
+    for policy in policies:
         for rule_ in policy.rules:
             for dst in _expand_targets(rule_, layers, policy.layer):
                 if dst == policy.layer:
@@ -492,6 +499,11 @@ def build_components(
     layer population, so any two layers one cell can transition between
     always land in the same component; the component digest over member
     cells' policy digests is what makes re-analysis incremental.
+
+    Each component keeps the group's edges whose source is a member
+    layer.  That slice equals ``component_edges(members)``: an edge never
+    leaves its source's component, and filtering a stably sorted list
+    keeps its order, so the edges stay a function of what the digest keys.
     """
     by_group: dict[tuple[str, str], list[CellPolicy]] = defaultdict(list)
     for snapshot in snapshots:
@@ -501,17 +513,17 @@ def build_components(
     components: list[ComponentGraph] = []
     for (carrier, city), policies in sorted(by_group.items()):
         policies.sort(key=lambda p: (p.layer, p.gci))
-        whole = ComponentGraph(
-            carrier=carrier, city=city, digest="", policies=tuple(policies)
-        )
-        edges = component_edges(whole)
-        for group in _connected_groups(whole.layers, edges):
-            members = tuple(p for p in policies if p.layer in set(group))
+        edges = component_edges(policies)
+        layers = sorted({p.layer for p in policies})
+        for group in _connected_groups(layers, edges):
+            member_layers = set(group)
+            members = tuple(p for p in policies if p.layer in member_layers)
             digest = hashlib.sha256(
                 ("\n".join(p.policy_digest for p in members)).encode()
             ).hexdigest()[:16]
             components.append(ComponentGraph(
-                carrier=carrier, city=city, digest=digest, policies=members
+                carrier=carrier, city=city, digest=digest, policies=members,
+                edges=tuple(e for e in edges if e.src in member_layers),
             ))
     return components
 
@@ -774,7 +786,7 @@ def dead_target(component: ComponentGraph) -> Iterator[Issue]:
       summary="Strictly-higher-priority preference cycle spanning RATs")
 def priority_inversion(component: ComponentGraph) -> Iterator[Issue]:
     adjacency: dict[LayerRef, set[LayerRef]] = defaultdict(set)
-    for edge in component_edges(component):
+    for edge in component.edges:
         if edge.mode == "idle" and edge.priority_delta > 0:
             adjacency[edge.src].add(edge.dst)
     for scc in _strongly_connected(dict(adjacency)):
@@ -796,11 +808,12 @@ def _feasible_cycles(
     modes: tuple[str, ...],
     prefer_mode: str | None,
 ) -> list[tuple[tuple[LayerRef, ...], CycleFeasibility]]:
-    """Feasible cycles of a component under a mode policy (cached)."""
-    edges = [e for e in component_edges(component) if e.mode in modes]
+    """Feasible cycles of a component under a mode policy."""
     adjacency: dict[LayerRef, set[LayerRef]] = defaultdict(set)
     candidates: dict[tuple[LayerRef, LayerRef], list[PolicyEdge]] = defaultdict(list)
-    for edge in edges:
+    for edge in component.edges:
+        if edge.mode not in modes:
+            continue
         adjacency[edge.src].add(edge.dst)
         candidates[(edge.src, edge.dst)].append(edge)
     cycles, _ = _enumerate_cycles(dict(adjacency), MAX_CYCLES_PER_COMPONENT)
@@ -828,9 +841,8 @@ def analyze_component(
     component: ComponentGraph, codes: tuple[str, ...]
 ) -> ComponentResult:
     """Run the graph-scope rules over one component (picklable entry)."""
-    edges = component_edges(component)
     adjacency: dict[LayerRef, set[LayerRef]] = defaultdict(set)
-    for edge in edges:
+    for edge in component.edges:
         adjacency[edge.src].add(edge.dst)
     cycles, truncated = _enumerate_cycles(dict(adjacency), MAX_CYCLES_PER_COMPONENT)
     findings: list[Finding] = []
@@ -838,9 +850,8 @@ def analyze_component(
         for issue in registered.func(component):
             findings.append(registered.stamp(issue))
     return ComponentResult(
-        digest=component.digest,
         findings=tuple(sort_findings(findings)),
-        n_edges=len(edges),
+        n_edges=len(component.edges),
         cycles_checked=len(cycles),
         cycles_truncated=truncated,
     )

@@ -21,8 +21,8 @@ A lint rule is a pure function over crawled configuration state:
 * **coverage** rules run per cell over the signal-space fire-region
   partition computed by :mod:`repro.lint.coverage`; the engine routes
   them through the :class:`~repro.lint.coverage.CoverageAnalyzer` (which
-  shards per cell and synthesizes a replayable
-  :class:`~repro.lint.witness.CoverageWitness` for every finding) rather
+  shards per cell and collects the replayable
+  :class:`~repro.lint.witness.CoverageWitness` each issue carries) rather
   than the snapshot pass.
 
 Rules yield lightweight :class:`Issue` drafts; the engine stamps them
@@ -35,10 +35,13 @@ and SARIF dashboards stable across releases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol, runtime_checkable
 
 from repro.core.crawler import CellConfigSnapshot
 from repro.lint.findings import SEVERITIES, Finding
+
+if TYPE_CHECKING:
+    from repro.lint.witness import CoverageWitness
 
 #: Rule scopes.
 SCOPES = ("cell", "network", "graph", "drift", "coverage")
@@ -50,6 +53,8 @@ class Issue:
 
     Every field is optional; the engine fills carrier/gci/channel from
     the snapshot for cell rules and severity from the rule default.
+    Coverage-scope rules attach the replayable counterexample of the
+    finding as ``witness``; stamping leaves it out of the finding.
     """
 
     message: str
@@ -58,6 +63,7 @@ class Issue:
     gci: int | None = None
     channel: int | None = None
     subject: str = ""
+    witness: CoverageWitness | None = None
 
 
 @runtime_checkable
@@ -91,8 +97,9 @@ class RegisteredRule:
 
         Graph-scope rules do not run here — they execute per component
         inside :func:`repro.lint.graph.analyze_component` — and neither
-        do drift-scope rules, which only
-        :func:`repro.lint.diff.diff_lint` evaluates.
+        do coverage-scope rules, which run per cell inside
+        :func:`repro.lint.coverage.analyze_cell`, or drift-scope rules,
+        which only :func:`repro.lint.diff.diff_lint` evaluates.
         """
         if self.scope == "cell":
             for snapshot in snapshots:
@@ -145,7 +152,9 @@ def rule(
             (function takes the full snapshot list), "graph" (function
             takes one policy-graph component), "drift" (function takes
             a :class:`~repro.lint.diff.DriftContext`) or "coverage"
-            (function takes one snapshot; executed per cell by the
+            (function takes one snapshot, its fire regions and its
+            critical-band gaps, and yields issues that carry their
+            witness; executed per cell by the
             :class:`~repro.lint.coverage.CoverageAnalyzer`).
         severity: Default severity; individual issues may override.
         summary: One-line description used by reporters and ``--help``.

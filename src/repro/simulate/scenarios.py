@@ -133,7 +133,6 @@ def drive_scenario(
         for city in cities:
             deploy_city(city, plan, seed, carriers=carriers)
         start = cities[1].origin  # Indianapolis -> Lafayette corridor.
-        end = cities[2].origin
         corridor_start = start.offset(cities[1].rings * cities[1].site_spacing_m, 0.0)
         corridor_end = corridor_start.offset(40_000.0, 0.0)
         deploy_highway(corridor_start, corridor_end, plan, seed, carriers, name="I-65")

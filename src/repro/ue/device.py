@@ -35,7 +35,6 @@ from repro.rrc.messages import (
     Message,
     PhyServingMeas,
     RrcConnectionReconfiguration,
-    Sib1,
     Sib3,
     Sib4,
     Sib5,

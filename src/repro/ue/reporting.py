@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cellnet.cell import Cell, CellId
+from repro.cellnet.cell import CellId
 from repro.config.events import (
     EventConfig,
     EventType,

@@ -1,11 +1,8 @@
 """Tests for handoff-policy inference."""
 
-import pytest
-
 from repro.config.events import EventConfig, EventType, PeriodicConfig
 from repro.config.lte import MeasurementConfig
 from repro.core.analysis.policies import (
-    PolicyLabel,
     carrier_policy_profile,
     classify_policy,
 )

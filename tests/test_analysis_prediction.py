@@ -1,7 +1,6 @@
 """Tests for device-side handoff prediction."""
 
 import numpy as np
-import pytest
 
 from repro.cellnet.cell import Cell, CellId
 from repro.cellnet.geo import Point

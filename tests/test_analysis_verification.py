@@ -4,8 +4,6 @@ The paper's automated verification tool is the lint rule engine; these
 cases audit hand-built snapshots with the rules each finding belongs to.
 """
 
-import pytest
-
 from repro.config.events import EventConfig, EventType
 from repro.config.lte import (
     InterFreqLayerConfig,

@@ -6,7 +6,6 @@ from repro.cellnet.carrier import CARRIERS, us_carriers
 from repro.cellnet.deployment import (
     DeploymentPlan,
     US_CITIES,
-    WORLD_CITIES,
     build_us_deployment,
     build_world_deployment,
     city_by_name,

@@ -1,7 +1,5 @@
 """Tests for planar geometry helpers."""
 
-import math
-
 import pytest
 
 from repro.cellnet.geo import (

@@ -39,8 +39,14 @@ def test_spec_by_name():
     assert spec.paper_symbol == "Delta_A3"
 
 
+def test_spec_by_name_resolves_every_registered_spec():
+    for rat, specs in REGISTRY.items():
+        for spec in specs:
+            assert spec_by_name(rat, spec.name) is spec
+
+
 def test_spec_by_name_unknown_raises():
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="unknown LTE parameter 'nonexistent_parameter'"):
         spec_by_name(RAT.LTE, "nonexistent_parameter")
 
 

@@ -1,7 +1,5 @@
 """Tests for configuration value domains and quantization."""
 
-import pytest
-
 from repro.config.units import (
     DBM_THRESHOLD,
     Domain,

@@ -4,7 +4,6 @@ The central faithfulness property: what the crawler recovers from the
 binary log must equal what the network actually configured.
 """
 
-import numpy as np
 import pytest
 
 from repro.cellnet.rat import RAT

@@ -1,6 +1,5 @@
 """Tests for the controlled-experiment helpers."""
 
-import numpy as np
 import pytest
 
 from repro.config.events import EventConfig, EventType

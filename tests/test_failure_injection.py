@@ -1,6 +1,5 @@
 """Failure-injection tests: the pipeline under adverse conditions."""
 
-import numpy as np
 import pytest
 
 from repro.cellnet.cell import Cell, CellId
@@ -12,7 +11,7 @@ from repro.core.crawler import ConfigCrawler
 from repro.core.handoffs import extract_handoff_instances
 from repro.rrc.broadcast import ConfigServer
 from repro.rrc.codec import CodecError
-from repro.rrc.diag import DiagError, DiagReader, DiagWriter
+from repro.rrc.diag import DiagError, DiagWriter
 from repro.rrc.messages import MeasurementReport, Sib1, Sib3
 from repro.ue.device import RrcState, UserEquipment
 

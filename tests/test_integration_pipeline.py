@@ -2,12 +2,8 @@
 headline shape findings on the shared dataset builds.
 """
 
-from collections import Counter
-
 import numpy as np
-import pytest
 
-from repro.cellnet.rat import RAT
 from repro.core import MMLab
 from repro.core.analysis.events import event_mix
 from repro.core.analysis.performance import idle_rsrp_change, rsrp_change_by_event

@@ -30,7 +30,7 @@ from repro.lint.engine import lint_snapshots, lint_world
 from repro.lint.fixtures import dead_zone_fixture
 from repro.lint.pingpong import Interval
 from repro.lint.report import render_json, render_sarif, render_text
-from repro.lint.witness import ACCEPTABLE_SERVICE_DBM, RLF_RSRP_DBM
+from repro.lint.witness import RLF_RSRP_DBM
 
 ALL_HC4XX = ("HC401", "HC402", "HC403", "HC404", "HC405")
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config.events import EventConfig, EventType
 from repro.config.legacy import UmtsCellConfig
@@ -29,8 +30,10 @@ from repro.lint import (
     warn_before_run,
     world_snapshots,
 )
+from repro.lint import graph as graph_module
 from repro.lint.engine import world_digest
-from repro.lint.fixtures import loop_fixture
+from repro.lint.fixtures import dead_zone_fixture, loop_fixture
+from repro.lint.graph import cell_policy, component_edges
 from repro.lint.pingpong import (
     a5_neighbor_interval,
     a5_serving_interval,
@@ -268,6 +271,113 @@ def test_component_partitioning_groups_by_carrier_and_reachability():
     assert len(components) == 3
     assert keys[0][0] == "A" and len(keys[0][1]) == 2
     assert [k[0] for k in keys[1:]] == ["T", "T"]
+
+
+# ---------------------------------------------------------------------------
+# One edge build per (carrier, city) group: components carry their slice
+
+
+def _population(name):
+    if name == "two-city":
+        return _two_city_population()
+    if name == "d2-world":
+        from repro.datasets.d2 import d2_world
+
+        world = d2_world()
+        return world_snapshots(world.env, world.server, max_cells_per_carrier=60)
+    make = {"loop-fixture": loop_fixture, "dead-zone-fixture": dead_zone_fixture}[name]
+    scenario = make(misconfigured=True)
+    return world_snapshots(scenario.env, scenario.server)
+
+
+def _assert_components_carry_exact_edges(snapshots):
+    components = build_components(snapshots)
+    assert components
+    for component in components:
+        assert component.edges == tuple(component_edges(component.policies))
+        layers = set(component.layers)
+        assert all(e.src in layers and e.dst in layers for e in component.edges)
+
+
+@pytest.mark.parametrize(
+    "population", ["loop-fixture", "dead-zone-fixture", "two-city", "d2-world"]
+)
+def test_component_edges_equal_a_rebuild_from_member_policies(population):
+    _assert_components_carry_exact_edges(_population(population))
+
+
+_CHANNELS = (850, 1975, 2000, 5110, 5780)
+
+
+@st.composite
+def _random_events(draw):
+    events = []
+    for kind in draw(st.lists(st.sampled_from(("A3", "A4", "A5")), max_size=2)):
+        metric = draw(st.sampled_from(("rsrp", "rsrq")))
+        hysteresis = draw(st.sampled_from((0.0, 1.0, 3.0)))
+        if kind == "A3":
+            events.append(EventConfig(
+                event=EventType.A3, metric=metric, hysteresis=hysteresis,
+                offset=draw(st.sampled_from((-2.0, 0.0, 3.0))),
+            ))
+        elif kind == "A4":
+            events.append(EventConfig(
+                event=EventType.A4, metric=metric, hysteresis=hysteresis,
+                threshold1=draw(st.sampled_from((-110.0, -95.0))),
+            ))
+        else:
+            events.append(EventConfig(
+                event=EventType.A5, metric=metric, hysteresis=hysteresis,
+                threshold1=draw(st.sampled_from((-110.0, -95.0, -60.0))),
+                threshold2=draw(st.sampled_from((-112.0, -100.0, -43.0))),
+            ))
+    return events
+
+
+@st.composite
+def _random_populations(draw):
+    snapshots = []
+    for gci in range(1, draw(st.integers(1, 10)) + 1):
+        snapshots.append(_lte_snapshot(
+            gci,
+            draw(st.sampled_from(_CHANNELS)),
+            city=draw(st.sampled_from(("X", "Y"))),
+            carrier=draw(st.sampled_from(("A", "T"))),
+            layers=draw(st.lists(
+                st.tuples(st.sampled_from(_CHANNELS + (9999,)), st.integers(0, 7)),
+                max_size=2,
+            )),
+            events=draw(_random_events()) if draw(st.booleans()) else (),
+            priority=draw(st.integers(0, 7)),
+        ))
+    return snapshots
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_populations())
+@example([  # one group, two components, both with edges
+    _lte_snapshot(1, 850, layers=[(1975, 5)]),
+    _lte_snapshot(2, 1975),
+    _lte_snapshot(3, 2000, layers=[(5110, 2)]),
+    _lte_snapshot(4, 5110),
+])
+def test_component_edges_equal_a_rebuild_on_random_populations(snapshots):
+    _assert_components_carry_exact_edges(snapshots)
+
+
+def test_graph_analysis_builds_each_groups_edges_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return component_edges(*args)
+
+    monkeypatch.setattr(graph_module, "component_edges", counting)
+    snapshots = _population("d2-world") + _population("loop-fixture")
+    _, stats = GraphAnalyzer().analyze(snapshots)
+    groups = {(s.carrier, s.city) for s in snapshots if cell_policy(s) is not None}
+    assert stats.components > len(groups)
+    assert len(calls) == len(groups)
 
 
 def test_world_digest_tracks_content_and_seed():

@@ -9,8 +9,6 @@ configuration must be failure-free in the *identical* geometry.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.config.events import EventConfig, EventType
 from repro.config.lte import (
     LteCellConfig,

@@ -1,8 +1,6 @@
 """Property-based tests for the binary codec and diag format."""
 
-import math
-
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.rrc.codec import CodecError, decode_message, encode_message
 from repro.rrc.diag import DiagError, DiagReader, DiagWriter

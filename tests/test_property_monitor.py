@@ -9,7 +9,7 @@ Invariants checked against a reference interpretation of TS 36.331:
 * the monitor never reports the serving cell as an A3 neighbor.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.cellnet.cell import Cell, CellId

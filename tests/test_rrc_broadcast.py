@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.cellnet.rat import RAT
-from repro.rrc.broadcast import ConfigServer
 from repro.rrc.messages import LegacySystemInfo, Sib1, Sib3, Sib4, Sib5
 
 

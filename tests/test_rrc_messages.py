@@ -1,7 +1,5 @@
 """Tests for signaling message payload round-trips."""
 
-import pytest
-
 from repro.cellnet.rat import RAT
 from repro.config.events import EventConfig, EventType, PeriodicConfig
 from repro.config.legacy import GsmCellConfig, UmtsCellConfig

@@ -511,6 +511,7 @@ def test_snapshot_cache_reserve_never_shrinks(env):
     before = env.snapshot_cache_size
     env.reserve_snapshot_capacity(10_000)
     grown = env.snapshot_cache_size
+    assert grown >= before
     assert grown >= 2 * 10_000 + 64
     env.reserve_snapshot_capacity(1)
     assert env.snapshot_cache_size == grown

@@ -1,6 +1,5 @@
 """Tests for the UE state machine."""
 
-import numpy as np
 import pytest
 
 from repro.cellnet.rat import RAT

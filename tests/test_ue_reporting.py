@@ -1,7 +1,5 @@
 """Tests for the event monitor (time-to-trigger reporting)."""
 
-import pytest
-
 from repro.cellnet.cell import Cell, CellId
 from repro.cellnet.geo import Point
 from repro.cellnet.rat import RAT

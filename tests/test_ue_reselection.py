@@ -1,7 +1,5 @@
 """Tests for idle-mode reselection (paper Eq. 1 and Eq. 3)."""
 
-import pytest
-
 from repro.cellnet.cell import Cell, CellId
 from repro.cellnet.geo import Point
 from repro.cellnet.rat import RAT
