@@ -38,7 +38,10 @@ Layout:
 * :mod:`engine` — snapshot/world audits and the simulation preflight;
 * :mod:`baseline` — suppression files for known-and-accepted findings;
 * :mod:`report` — text, JSON and SARIF renderers (plus the ``diff``
-  variants that carry change blame).
+  variants that carry change blame);
+* :mod:`jsontext` — the one indented-JSON writer behind the reports,
+  baselines and snapshots (``json.dumps(obj, indent=2)`` byte for byte)
+  and their atomic saves.
 
 Quick start::
 

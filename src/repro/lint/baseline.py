@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.lint.findings import Finding
+from repro.lint.jsontext import write_json
 
 BASELINE_VERSION = 1
 BASELINE_TOOL = "repro.lint"
@@ -75,7 +76,11 @@ class Baseline:
         return baseline
 
     def save(self, path: str | Path) -> None:
-        """Write the baseline file (sorted, diff-friendly)."""
+        """Write the baseline file (sorted, diff-friendly), atomically.
+
+        A crash mid-save leaves the previous file as it was, never a
+        torn one that every later audit fails to parse.
+        """
         payload = {
             "version": BASELINE_VERSION,
             "tool": BASELINE_TOOL,
@@ -89,7 +94,7 @@ class Baseline:
                 for fingerprint in sorted(self.fingerprints)
             ],
         }
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+        write_json(path, payload)
 
     def split(self, findings: list[Finding]) -> tuple[list[Finding], list[Finding]]:
         """Partition ``findings`` into (new, suppressed)."""

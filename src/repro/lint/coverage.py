@@ -766,6 +766,7 @@ class CoverageAnalyzer:
         snapshots: Sequence[CellConfigSnapshot],
         codes: Sequence[str] | None = None,
         workers: int | None = None,
+        digests: Sequence[str] | None = None,
     ) -> tuple[list[Finding], CoverageStats, dict[str, CoverageWitness]]:
         """Analyze an audit population.
 
@@ -773,13 +774,18 @@ class CoverageAnalyzer:
         maps each finding's fingerprint to its replayable counterexample.
         Findings are deterministically sorted and independent of
         ``workers`` (cells are self-contained and merged in canonical
-        order).
+        order).  ``digests`` are the snapshots'
+        :func:`~repro.lint.graph.snapshot_digest` values when the caller
+        has them (an audit that also runs the graph pass hashes each
+        cell once).
         """
         rule_codes = tuple(r.code for r in coverage_rules(codes))
-        keys = [(snapshot_digest(s), rule_codes) for s in snapshots]
+        if digests is None:
+            digests = [snapshot_digest(s) for s in snapshots]
+        keys = [(digest, rule_codes) for digest in digests]
         results, cached, analyzed = run_cached(
             self._cache,
-            zip(keys, snapshots),
+            zip(keys, snapshots, strict=True),
             lambda unit_id, snapshot: CellCoverageUnit(
                 unit_id=unit_id, snapshot=snapshot, codes=rule_codes
             ),

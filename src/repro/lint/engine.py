@@ -46,7 +46,7 @@ from repro.lint.findings import (
     sort_findings,
     summarize,
 )
-from repro.lint.graph import GraphAnalyzer, GraphStats
+from repro.lint.graph import GraphAnalyzer, GraphStats, snapshot_digest
 from repro.lint.rules import RegisteredRule, select_rules
 from repro.lint.witness import CoverageWitness
 from repro.rrc.broadcast import ConfigServer
@@ -140,25 +140,33 @@ def lint_snapshots(
     findings: list[Finding] = []
     for registered in snapshot_rules:
         findings.extend(registered.check(snapshots))
+    # Both analyzers key their caches on the cells' content digests:
+    # hash each cell once for the two of them.
+    run_graph = graph and bool(graph_codes)
+    run_coverage = coverage and bool(coverage_codes)
+    digests = (
+        [snapshot_digest(s) for s in snapshots]
+        if run_graph or run_coverage else None
+    )
     graph_stats: GraphStats | None = None
     rules_run = tuple(r.code for r in snapshot_rules)
-    if graph and graph_codes:
+    if run_graph:
         analyzer = graph_analyzer if graph_analyzer is not None else GraphAnalyzer()
         graph_findings, graph_stats = analyzer.analyze(
-            snapshots, codes=graph_codes, workers=workers
+            snapshots, codes=graph_codes, workers=workers, digests=digests
         )
         findings.extend(graph_findings)
         rules_run = rules_run + graph_codes
     coverage_stats: CoverageStats | None = None
     witnesses: dict[str, CoverageWitness] = {}
-    if coverage and coverage_codes:
+    if run_coverage:
         cov = (
             coverage_analyzer
             if coverage_analyzer is not None
             else CoverageAnalyzer()
         )
         coverage_findings, coverage_stats, witnesses = cov.analyze(
-            snapshots, codes=coverage_codes, workers=workers
+            snapshots, codes=coverage_codes, workers=workers, digests=digests
         )
         findings.extend(coverage_findings)
         rules_run = rules_run + coverage_codes

@@ -396,13 +396,17 @@ def _umts_rules(config: UmtsCellConfig) -> Iterator[LayerRule]:
             )
 
 
-def cell_policy(snapshot: CellConfigSnapshot) -> CellPolicy | None:
+def cell_policy(
+    snapshot: CellConfigSnapshot, digest: str | None = None
+) -> CellPolicy | None:
     """Extract the graph-relevant policy of one snapshot.
 
     Returns None for snapshots without a rebuilt configuration (an
     episode that ended before SIB3 arrived contributes nothing).  Cells
     of RATs with no cross-layer policy (GSM/EVDO/CDMA1x) still become
     nodes — they can be handoff *targets* — just without outgoing edges.
+    ``digest`` is the snapshot's :func:`snapshot_digest` when the caller
+    already has it.
     """
     rules: list[LayerRule] = []
     priority: int | None = None
@@ -422,7 +426,7 @@ def cell_policy(snapshot: CellConfigSnapshot) -> CellPolicy | None:
         gci=snapshot.gci,
         city=snapshot.city,
         layer=LayerRef(snapshot.rat, snapshot.channel),
-        policy_digest=snapshot_digest(snapshot),
+        policy_digest=snapshot_digest(snapshot) if digest is None else digest,
         serving_priority=priority,
         rules=tuple(rules),
     )
@@ -492,6 +496,7 @@ def _connected_groups(
 
 def build_components(
     snapshots: Sequence[CellConfigSnapshot],
+    digests: Sequence[str] | None = None,
 ) -> list[ComponentGraph]:
     """Partition an audit population into per-(carrier, city) components.
 
@@ -504,10 +509,16 @@ def build_components(
     layer.  That slice equals ``component_edges(members)``: an edge never
     leaves its source's component, and filtering a stably sorted list
     keeps its order, so the edges stay a function of what the digest keys.
+
+    ``digests`` holds each snapshot's :func:`snapshot_digest`, in
+    snapshot order, when the caller has computed them already.
     """
+    known: Sequence[str | None] = (
+        [None] * len(snapshots) if digests is None else digests
+    )
     by_group: dict[tuple[str, str], list[CellPolicy]] = defaultdict(list)
-    for snapshot in snapshots:
-        policy = cell_policy(snapshot)
+    for snapshot, digest in zip(snapshots, known, strict=True):
+        policy = cell_policy(snapshot, digest)
         if policy is not None:
             by_group[(policy.carrier, policy.city)].append(policy)
     components: list[ComponentGraph] = []
@@ -888,15 +899,18 @@ class GraphAnalyzer:
         snapshots: Sequence[CellConfigSnapshot],
         codes: Sequence[str] | None = None,
         workers: int | None = None,
+        digests: Sequence[str] | None = None,
     ) -> tuple[list[Finding], GraphStats]:
         """Verify an audit population; returns (findings, stats).
 
         Findings are deterministically sorted and independent of
         ``workers`` (components are self-contained and merged in
-        canonical order).
+        canonical order).  ``digests`` are the snapshots'
+        :func:`snapshot_digest` values when the caller has them (an
+        audit that also runs coverage hashes each cell once).
         """
         rule_codes = tuple(r.code for r in graph_rules(codes))
-        components = build_components(snapshots)
+        components = build_components(snapshots, digests)
         results, cached, analyzed = run_cached(
             self._cache,
             (((c.digest, rule_codes), c) for c in components),

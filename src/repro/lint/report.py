@@ -15,12 +15,12 @@ never gate differently than it renders.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict
 from typing import TYPE_CHECKING
 
 from repro.lint.engine import LintReport
 from repro.lint.findings import SARIF_LEVELS, Finding
+from repro.lint.jsontext import dumps_indented
 from repro.lint.rules import all_rules
 
 if TYPE_CHECKING:
@@ -113,7 +113,7 @@ def render_json(report: LintReport) -> str:
             fingerprint: witness.to_dict()
             for fingerprint, witness in sorted(report.witnesses.items())
         }
-    return json.dumps(payload, indent=2)
+    return dumps_indented(payload)
 
 
 def _sarif_rules(
@@ -192,7 +192,7 @@ def _sarif_payload(
         "version": SARIF_VERSION,
         "runs": [run],
     }
-    return json.dumps(payload, indent=2)
+    return dumps_indented(payload)
 
 
 def render_sarif(report: LintReport) -> str:
@@ -321,7 +321,7 @@ def render_diff_json(report: "DriftReport") -> str:
     }
     if report.graph_stats is not None:
         payload["graph_stats"] = asdict(report.graph_stats)
-    return json.dumps(payload, indent=2)
+    return dumps_indented(payload)
 
 
 def render_diff_sarif(report: "DriftReport") -> str:

@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -53,6 +51,7 @@ from repro.config.lte import (
 )
 from repro.core.crawler import CellConfigSnapshot
 from repro.lint.graph import snapshot_digest
+from repro.lint.jsontext import write_json
 
 if TYPE_CHECKING:
     from repro.cellnet.world import RadioEnvironment
@@ -85,6 +84,15 @@ _CONFIG_TYPES: dict[str, type] = {
 }
 
 
+#: Each registered class's encoded field names, in field order.  Fields
+#: declared ``repr=False`` (the crawler's transient SIB buffer) are not
+#: part of a configuration and are left out.
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {
+    cls: tuple(f.name for f in fields(cls) if f.repr)
+    for cls in _CONFIG_TYPES.values()
+}
+
+
 def encode_value(value: object) -> object:
     """Recursively encode a config value into tagged, JSON-safe data.
 
@@ -92,23 +100,29 @@ def encode_value(value: object) -> object:
     ``repr=False`` — the crawler's transient SIB buffer — are dropped),
     enums become ``{"__enum__": ..., "value": ...}``, tuples are tagged
     so decode can restore them (config sequence fields are tuples).
+
+    A dataclass is encodable only if its exact class is registered in
+    ``_CONFIG_TYPES``; its fields come from a name table built once per
+    class, not from ``dataclasses.fields`` per node.
     """
-    if is_dataclass(value) and not isinstance(value, type):
-        if type(value).__name__ not in _CONFIG_TYPES:
-            raise TypeError(f"unregistered config type {type(value).__name__}")
-        payload: dict[str, object] = {"__type__": type(value).__name__}
-        for f in fields(value):
-            if not f.repr:
-                continue
-            payload[f.name] = encode_value(getattr(value, f.name))
+    kind = type(value)
+    if kind is int or kind is float or kind is str or kind is bool or value is None:
+        return value
+    names = _FIELD_NAMES.get(kind)
+    if names is not None:
+        payload: dict[str, object] = {"__type__": kind.__name__}
+        for name in names:
+            payload[name] = encode_value(getattr(value, name))
         return payload
-    if isinstance(value, EventType):
-        return {"__enum__": "EventType", "value": value.value}
     if isinstance(value, tuple):
         return {"__tuple__": [encode_value(v) for v in value]}
-    if value is None or isinstance(value, (bool, int, float, str)):
+    if is_dataclass(value) and not isinstance(value, type):
+        raise TypeError(f"unregistered config type {kind.__name__}")
+    if isinstance(value, EventType):
+        return {"__enum__": "EventType", "value": value.value}
+    if isinstance(value, (bool, int, float, str)):
         return value
-    raise TypeError(f"cannot encode {type(value).__name__} value {value!r}")
+    raise TypeError(f"cannot encode {kind.__name__} value {value!r}")
 
 
 def decode_value(value: object) -> object:
@@ -215,21 +229,7 @@ class ConfigSnapshot:
             "fleet_digest": self.fleet_digest,
             "cells": [encode_value(cell) for cell in self.cells],
         }
-        target = Path(path)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=target.parent, prefix=f".{target.name}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as f:
-                json.dump(payload, f, indent=2)
-                f.write("\n")
-            os.replace(tmp_name, target)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        write_json(path, payload)
 
     @classmethod
     def load(cls, path: str | Path) -> "ConfigSnapshot":

@@ -168,7 +168,16 @@ class CoverageWitness:
     note: str = ""
 
     def to_dict(self) -> dict[str, object]:
-        """JSON-ready representation (config codec of the drift store)."""
+        """JSON-ready representation (config codec of the drift store).
+
+        When ``neighbor_config`` is ``config`` (as every synthesized
+        witness has it), the one encoded tree serves both keys.
+        """
+        config = encode_value(self.config)
+        neighbor_config = (
+            config if self.neighbor_config is self.config
+            else encode_value(self.neighbor_config)
+        )
         return {
             "code": self.code,
             "kind": self.kind,
@@ -176,8 +185,8 @@ class CoverageWitness:
             "gci": self.gci,
             "channel": self.channel,
             "neighbor_channel": self.neighbor_channel,
-            "config": encode_value(self.config),
-            "neighbor_config": encode_value(self.neighbor_config),
+            "config": config,
+            "neighbor_config": neighbor_config,
             "entry_dbm": self.entry_dbm,
             "exit_dbm": self.exit_dbm,
             "hold_s": self.hold_s,

@@ -22,8 +22,13 @@ from repro.lint import (
     warn_before_run,
     world_snapshots,
 )
+from repro.lint import coverage as coverage_module
+from repro.lint import engine as engine_module
+from repro.lint import graph as graph_module
+from repro.lint.coverage import CoverageAnalyzer
 from repro.lint.engine import PREFLIGHT_MAX_CELLS
 from repro.lint.fixtures import LOOP_CARRIER, loop_fixture
+from repro.lint.graph import GraphAnalyzer
 from repro.lint.report import SARIF_LEVELS, SARIF_VERSION
 from repro.rrc.broadcast import ConfigServer
 
@@ -230,6 +235,44 @@ def test_lint_world_finds_paper_misconfigurations(env, server):
     report = lint_world(env, server)
     assert report.snapshots_audited > 100
     assert len(report.counts_by_code()) >= 8
+
+
+def _count_digests(monkeypatch):
+    calls = []
+    real = graph_module.snapshot_digest
+
+    def counting(snapshot):
+        calls.append(snapshot)
+        return real(snapshot)
+
+    for module in (graph_module, coverage_module, engine_module):
+        monkeypatch.setattr(module, "snapshot_digest", counting)
+    return calls
+
+
+def test_graph_coverage_audit_hashes_each_cell_once(monkeypatch):
+    """``lint_snapshots`` hashes every cell once for both analyzers, and
+    the report equals the two analyzers run on their own."""
+    from repro.datasets.d2 import d2_world
+
+    world = d2_world()
+    snapshots = world_snapshots(world.env, world.server, max_cells_per_carrier=60)
+    graph_findings, graph_stats = GraphAnalyzer().analyze(snapshots)
+    coverage_findings, coverage_stats, witnesses = CoverageAnalyzer().analyze(snapshots)
+    calls = _count_digests(monkeypatch)
+    report = lint_snapshots(snapshots, graph=True, coverage=True)
+    assert len(calls) == len(snapshots) > 1000
+    assert report.graph_stats == graph_stats
+    assert report.coverage_stats == coverage_stats
+    assert report.witnesses == witnesses
+    graph_codes = {f.code for f in graph_findings}
+    coverage_codes = {f.code for f in coverage_findings}
+    assert [f for f in report.findings if f.code in graph_codes] == graph_findings
+    assert [f for f in report.findings if f.code in coverage_codes] == coverage_findings
+    # Each analyzer called on its own still hashes what it needs.
+    del calls[:]
+    CoverageAnalyzer().analyze(snapshots)
+    assert len(calls) == len(snapshots)
 
 
 def test_committed_baseline_covers_default_fleet():

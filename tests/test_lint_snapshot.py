@@ -2,13 +2,20 @@
 
 import json
 import os
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import pytest
 
 from repro.config.events import EventConfig, EventType
-from repro.lint import ConfigSnapshot, snapshot_digest
+from repro.datasets.d2 import d2_world
+from repro.lint import ConfigSnapshot, snapshot_digest, world_snapshots
 from repro.lint.fixtures import loop_fixture
-from repro.lint.snapshot import SNAPSHOT_VERSION, decode_value, encode_value
+from repro.lint.snapshot import (
+    _CONFIG_TYPES,
+    SNAPSHOT_VERSION,
+    decode_value,
+    encode_value,
+)
 
 
 def _fixture_snapshot(misconfigured=True, label="cap"):
@@ -37,6 +44,59 @@ def test_codec_rejects_unknown_types():
         encode_value(NotAConfig())
     with pytest.raises(ValueError):
         decode_value({"__type__": "NotAConfig"})
+
+
+def _fields_encode(value, seen):
+    """The codec as a ``dataclasses.fields`` walk at every node."""
+    if is_dataclass(value) and not isinstance(value, type):
+        if type(value).__name__ not in _CONFIG_TYPES:
+            raise TypeError(f"unregistered config type {type(value).__name__}")
+        seen.add(type(value))
+        payload = {"__type__": type(value).__name__}
+        for f in fields(value):
+            if f.repr:
+                payload[f.name] = _fields_encode(getattr(value, f.name), seen)
+        return payload
+    if isinstance(value, EventType):
+        return {"__enum__": "EventType", "value": value.value}
+    if isinstance(value, tuple):
+        return {"__tuple__": [_fields_encode(v, seen) for v in value]}
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    raise TypeError(f"cannot encode {type(value).__name__} value {value!r}")
+
+
+def test_codec_field_tables_match_a_fields_walk_on_every_config_type():
+    world = d2_world()
+    cells = world_snapshots(world.env, world.server, max_cells_per_carrier=60)
+    seen = set()
+    for cell in cells:
+        # json.dumps tells key order and int/float/bool apart.
+        assert json.dumps(encode_value(cell)) == json.dumps(_fields_encode(cell, seen))
+    assert seen == set(_CONFIG_TYPES.values())
+    buffered = replace(cells[0], _sibs=["sib1", "sib3"])
+    assert "_sibs" not in encode_value(buffered)
+    assert encode_value(buffered) == encode_value(cells[0])
+
+
+@dataclass(frozen=True)
+class _Unregistered:
+    x: int = 1
+
+
+@pytest.mark.parametrize(
+    "value",
+    [_Unregistered(), (1, _Unregistered()), [1, 2], {"a": 1}, {1}, b"x", 1j,
+     (1.5, [2])],
+    ids=["dataclass", "nested-dataclass", "list", "dict", "set", "bytes",
+         "complex", "nested-list"],
+)
+def test_codec_type_errors_match_the_fields_walk(value):
+    with pytest.raises(TypeError) as reference:
+        _fields_encode(value, set())
+    with pytest.raises(TypeError) as ours:
+        encode_value(value)
+    assert str(ours.value) == str(reference.value)
 
 
 def test_decode_revalidates_through_constructors():
