@@ -26,8 +26,9 @@ from repro.cellnet.radio import (
 )
 from repro.cellnet.rat import RAT
 
-#: Integer code of each RAT in the index's ``rat`` column.
+#: Integer code of each RAT in the index's ``rat`` column, and back.
 _RAT_CODES = {rat: code for code, rat in enumerate(RAT)}
+_RATS = tuple(RAT)
 
 
 class _CellIndex:
@@ -57,6 +58,39 @@ class _CellIndex:
             start, _ = self._ranges.get(cell.carrier, (row, row))
             self._ranges[cell.carrier] = (start, row + 1)
 
+    def rows(
+        self,
+        location: Point,
+        radius_m: float,
+        carrier: str | None = None,
+        rat: RAT | None = None,
+        channel: int | None = None,
+    ) -> np.ndarray:
+        """Rows of the cells within ``radius_m`` of ``location``,
+        optionally of one carrier, RAT and channel, ascending (so in
+        ``cell_id`` order)."""
+        if carrier is None:
+            start, stop = 0, len(self.cells)
+        elif carrier in self._ranges:
+            start, stop = self._ranges[carrier]
+        else:
+            return np.empty(0, dtype=np.intp)
+        dist = np.hypot(self._xs[start:stop] - location.x, self._ys[start:stop] - location.y)
+        keep = dist <= radius_m * (1.0 + self.EDGE)
+        if rat is not None:
+            keep &= self._rats[start:stop] == _RAT_CODES[rat]
+        if channel is not None:
+            keep &= self._channels[start:stop] == channel
+        rows = np.flatnonzero(keep)
+        if (dist[rows] >= radius_m * (1.0 - self.EDGE)).any():
+            cells = self.cells
+            exact = [
+                cells[row].location.distance_to(location) <= radius_m
+                for row in (rows + start).tolist()
+            ]
+            rows = rows[np.array(exact, dtype=bool)]
+        return rows + start
+
     def near(
         self,
         location: Point,
@@ -67,24 +101,22 @@ class _CellIndex:
     ) -> list[Cell]:
         """Indexed cells within ``radius_m`` of ``location``, optionally
         of one carrier, RAT and channel, in ``cell_id`` order."""
-        if carrier is None:
-            start, stop = 0, len(self.cells)
-        elif carrier in self._ranges:
-            start, stop = self._ranges[carrier]
-        else:
-            return []
-        dist = np.hypot(self._xs[start:stop] - location.x, self._ys[start:stop] - location.y)
-        keep = dist <= radius_m * (1.0 + self.EDGE)
-        if rat is not None:
-            keep &= self._rats[start:stop] == _RAT_CODES[rat]
-        if channel is not None:
-            keep &= self._channels[start:stop] == channel
-        rows = np.flatnonzero(keep)
         cells = self.cells
-        near = [cells[row] for row in (rows + start).tolist()]
-        if (dist[rows] >= radius_m * (1.0 - self.EDGE)).any():
-            near = [c for c in near if c.location.distance_to(location) <= radius_m]
-        return near
+        rows = self.rows(location, radius_m, carrier, rat, channel)
+        return [cells[row] for row in rows.tolist()]
+
+    def layer_channels(
+        self, location: Point, radius_m: float, carrier: str
+    ) -> dict[RAT, tuple[int, ...]]:
+        """Sorted distinct channels of each RAT among ``carrier``'s cells
+        within ``radius_m`` of ``location`` (the :meth:`rows`
+        membership), read from the ``rat`` and ``channel`` columns."""
+        rows = self.rows(location, radius_m, carrier)
+        layers = sorted(set(zip(self._rats[rows].tolist(), self._channels[rows].tolist())))
+        channels: dict[RAT, list[int]] = {}
+        for code, channel in layers:
+            channels.setdefault(_RATS[code], []).append(channel)
+        return {rat: tuple(values) for rat, values in channels.items()}
 
 
 class RadioEnvironment:
@@ -137,6 +169,17 @@ class RadioEnvironment:
         """
         radius = radius_m if radius_m is not None else self.audible_radius_m
         return self._index.near(location, radius, carrier=carrier, rat=rat)
+
+    def layer_channels(
+        self, location: Point, carrier: str, radius_m: float
+    ) -> dict[RAT, tuple[int, ...]]:
+        """The sorted distinct channels per RAT that ``carrier`` runs
+        within ``radius_m`` of ``location``.
+
+        Covers exactly the cells ``cells_near(location, carrier,
+        radius_m=radius_m)`` returns; a RAT with no such cell is absent.
+        """
+        return self._index.layer_channels(location, radius_m, carrier)
 
     def co_channel_interferers(self, cell: Cell, location: Point) -> list[Cell]:
         """Other same-channel cells audible at ``location``.

@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from repro.experiments import registry
 from repro.experiments.common import default_d1, default_d2
@@ -456,7 +457,7 @@ def _run_snapshot(args: argparse.Namespace) -> int:
     if fleet is None:
         return 2
     env, server = fleet
-    label = args.label or args.out
+    label = args.label or Path(args.out).name
     snapshot = ConfigSnapshot.capture_world(
         env,
         server,

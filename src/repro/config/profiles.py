@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -94,17 +95,145 @@ def _cdf(weights: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(cdf.tolist())
 
 
-def _draw(rng: np.random.Generator, table: dict) -> object:
-    """Weighted draw from a {value: weight} table (deterministic order).
+class DrawTable(NamedTuple):
+    """A {value: weight} table built for :func:`_draw`."""
+
+    #: The table's keys, in its order and with their own types.
+    values: tuple[Any, ...]
+    #: The CDF ``Generator.choice`` searches for the table's weights.
+    cdf: tuple[float, ...]
+
+
+def _table(weights: dict) -> DrawTable:
+    """Build a {value: weight} table once, for every later draw from it.
+
+    The CDF comes from :func:`_cdf` (cached by the weight sequence
+    alone), so an invalid table raises choice's ``ValueError`` here.
+    The values are the table's own keys, so tables whose keys compare
+    equal across types (``1`` and ``1.0``) share a CDF, never a value.
+    """
+    return DrawTable(tuple(weights), _cdf(tuple(weights.values())))
+
+
+#: Doubles a :class:`_DoubleReader` takes from its generator at a time.
+_BLOCK = 16
+
+
+class _DoubleReader:
+    """The uniform doubles of one private generator, read in blocks.
+
+    ``Generator.random(16)`` fills its block by calling ``next_double``
+    16 times in order, so :meth:`random` returns exactly the doubles
+    that successive ``Generator.random()`` calls would, for much less
+    than a numpy call each.  The block reads ahead of what was used,
+    which is sound only for a generator private to one generation call
+    and asked for nothing but uniform doubles.  The reader has no other
+    method, so any other kind of draw fails instead of drifting off the
+    stream: such a draw needs a real ``Generator``.
+    """
+
+    __slots__ = ("_generator", "_block")
+
+    def __init__(self, generator: np.random.Generator) -> None:
+        self._generator = generator
+        #: The unread rest of the current block, last-drawn-first.
+        self._block: list[float] = []
+
+    def random(self) -> float:
+        """The stream's next uniform double in [0, 1)."""
+        try:
+            return self._block.pop()
+        except IndexError:
+            block = self._generator.random(_BLOCK).tolist()
+            block.reverse()
+            self._block = block
+            return block.pop()
+
+
+def _draw(rng: _DoubleReader, table: DrawTable) -> Any:
+    """Weighted draw from a built table.
 
     Stream-identical to ``values[rng.choice(len(values), p=weights)]``:
     choice's single-sample path draws one ``rng.random()`` double and
     takes ``searchsorted(side="right")`` in the CDF, which is
-    ``bisect_right`` here.  The CDF is cached by the weight sequence
-    alone and the value is read from ``table`` itself, so tables whose
-    keys compare equal across types (``1`` and ``1.0``) cannot mix.
+    ``bisect_right`` here.
     """
-    return list(table)[bisect_right(_cdf(tuple(table.values())), rng.random())]
+    values, cdf = table
+    return values[bisect_right(cdf, rng.random())]
+
+
+#: Every measConfig's A2 (radio-problem detector) trigger time.
+_A2_TIME_TO_TRIGGER_MS = nearest_time_to_trigger(640)
+
+# Fixed tables of the LTE generators (carrier styles hold the rest).
+_A2_RSRP_THRESHOLD = _table({-114.0: 4, -112.0: 2, -116.0: 2, -118.0: 1})
+_A5_TIME_TO_TRIGGER = _table({640: 2, 1280: 4, 2560: 2})
+_PERIODIC_INTERVAL = _table({2048: 3, 5120: 4, 10240: 1})
+_A4_RSRP_THRESHOLD = _table({-104.0: 2, -108.0: 1})
+_S_MEASURE = _table({-97.0: 5, -95.0: 2, -103.0: 1, -44.0: 1})
+_S_INTRA_SEARCH_Q = _table({8.0: 5, 6.0: 2, 10.0: 1})
+_S_NON_INTRA_SEARCH_Q = _table({4.0: 5, 6.0: 2, 2.0: 1})
+_THRESH_SERVING_LOW_Q = _table({4.0: 5, 2.0: 2, 6.0: 1})
+_Q_QUAL_MIN = _table({-18.0: 6, -19.5: 2, -16.0: 1})
+_T_RESELECTION_EUTRA = _table({1: 5, 2: 3, 0: 1})
+_LAYER_T_RESELECTION_EUTRA = _table({1: 5, 2: 3})
+_ALLOWED_MEAS_BANDWIDTH = _table({50: 5, 100: 3, 25: 1})
+_UTRA_PRIORITY = _table({1: 6, 0: 2})
+_CDMA_PRIORITY = _table({1: 5, 0: 2})
+_Q_OFFSET_CELL = _table({0.0: 8, 1.0: 1, -1.0: 1})
+
+_UMTS_HYSTERESIS = _table({1.0: 4, 0.5: 2, 1.5: 2, 2.0: 1})
+_UMTS_TIME_TO_TRIGGER = _table({320: 4, 640: 2, 100: 1, 1280: 1})
+#: (field, type, table) of every drawn ``UmtsCellConfig`` parameter, in
+#: draw order.
+_UMTS_DRAWS: tuple[tuple[str, type, DrawTable], ...] = (
+    ("q_hyst_1s", float, _table({4.0: 4, 2.0: 2, 6.0: 1})),
+    ("q_hyst_2s", float, _table({4.0: 4, 2.0: 2, 6.0: 1})),
+    ("s_intrasearch", float, _table({10.0: 4, 8.0: 2, 12.0: 2, 14.0: 1})),
+    ("s_intersearch", float, _table({10.0: 4, 6.0: 2, 12.0: 1})),
+    ("s_search_rat", float, _table({4.0: 4, 2.0: 2, 6.0: 1})),
+    ("s_limit_search_rat", float, _table({4.0: 4, 6.0: 2, 2.0: 1})),
+    ("q_rxlevmin", float, _table({-115.0: 6, -113.0: 2, -111.0: 1})),
+    ("t_reselection_s", int, _table({1: 5, 2: 3, 0: 1})),
+    ("q_offset_s_n_1", float, _table({0.0: 6, 2.0: 2, -2.0: 1})),
+    ("q_offset_s_n_2", float, _table({0.0: 6, 2.0: 2})),
+    ("penalty_time", int, _table({0: 5, 2: 2, 4: 1})),
+    ("temporary_offset", float, _table({0.0: 6, 3.0: 2})),
+    ("priority_eutra", int, _table({5: 5, 6: 2, 4: 2})),
+    ("thresh_high_eutra", float, _table({8.0: 4, 12.0: 2, 6.0: 1})),
+    ("thresh_low_eutra", float, _table({4.0: 4, 2.0: 2, 0.0: 1})),
+    ("priority_serving", int, _table({2: 6, 1: 2, 3: 1})),
+    ("thresh_serving_low", float, _table({4.0: 4, 2.0: 2, 6.0: 2, 8.0: 1})),
+    ("t_reselection_eutra", int, _table({2: 5, 1: 3})),
+    ("e1a_reporting_range", float, _table({4.0: 4, 3.0: 2, 5.0: 2, 6.0: 1})),
+    ("e1a_hysteresis", float, _UMTS_HYSTERESIS),
+    ("e1a_time_to_trigger", int, _UMTS_TIME_TO_TRIGGER),
+    ("e1b_reporting_range", float, _table({6.0: 4, 5.0: 2, 8.0: 1})),
+    ("e1b_hysteresis", float, _UMTS_HYSTERESIS),
+    ("e1b_time_to_trigger", int, _UMTS_TIME_TO_TRIGGER),
+    ("e1c_replacement_threshold", float, _table({-95.0: 4, -93.0: 2, -97.0: 1})),
+    ("e1c_time_to_trigger", int, _UMTS_TIME_TO_TRIGGER),
+    ("e1d_time_to_trigger", int, _UMTS_TIME_TO_TRIGGER),
+    ("e1e_threshold", float, _table({-100.0: 4, -98.0: 2, -102.0: 1})),
+    ("e1f_threshold", float, _table({-105.0: 4, -103.0: 2, -107.0: 1})),
+    ("intra_freq_filter_coefficient", int, _table({3: 4, 4: 2, 2: 1})),
+    ("e2b_threshold_used", float, _table({-100.0: 4, -98.0: 2, -102.0: 1})),
+    ("e2b_threshold_non_used", float, _table({-95.0: 4, -93.0: 2})),
+    ("e2b_time_to_trigger", int, _UMTS_TIME_TO_TRIGGER),
+    ("e2d_threshold_used", float, _table({-103.0: 4, -101.0: 2, -105.0: 1})),
+    ("e2d_time_to_trigger", int, _UMTS_TIME_TO_TRIGGER),
+    ("e2f_threshold_used", float, _table({-98.0: 4, -96.0: 2})),
+    ("e2f_time_to_trigger", int, _UMTS_TIME_TO_TRIGGER),
+    ("e3a_threshold_own", float, _table({-102.0: 4, -100.0: 2, -104.0: 1})),
+    ("e3a_threshold_other", float, _table({-98.0: 4, -96.0: 2})),
+    ("e3a_time_to_trigger", int, _UMTS_TIME_TO_TRIGGER),
+)
+
+_GSM_RESELECT_HYSTERESIS = _table({4.0: 4, 6.0: 2, 2.0: 1})
+_GSM_RESELECT_OFFSET = _table({0.0: 5, 2.0: 1})
+_EVDO_PILOT_ADD = _table({-7.0: 5, -6.5: 1, -7.5: 1})
+_EVDO_PILOT_DROP = _table({-9.0: 5, -8.5: 1})
+_CDMA1X_T_ADD = _table({-7.0: 5, -6.5: 1})
 
 
 @dataclass(frozen=True)
@@ -296,16 +425,28 @@ class CarrierProfile:
         self.acronym = acronym
         self.seed = seed
         self.style = _style_for(acronym)
+        #: Every {value: weight} table of the style, built once.
+        self._tables: dict[str, DrawTable] = {
+            f.name: _table(getattr(self.style, f.name))
+            for f in fields(CarrierStyle)
+            if isinstance(getattr(self.style, f.name), dict)
+        }
+        self._carrier_key = stable_hash(acronym) & 0xFFFF
         # Seed-pure memos of priority_for_channel (cell mode: per-channel
         # base priority and city sensitivity; grid mode: per-city value).
         self._channel_priority: dict[int, tuple[int, bool]] = {}
         self._city_priority: dict[str, int] = {}
+        # Seed-pure memo of observed_lte_config: each cell's idle-churn
+        # flip per elapsed 90-day epoch, keyed by gci.  Whatever an
+        # observation draws from ``obs_rng`` is never stored.
+        self._idle_flips: dict[int, list[bool]] = {}
 
     # -- deterministic RNG plumbing -------------------------------------
 
-    def _cell_rng(self, cell: Cell, salt: int = 0, force_cell: bool = False) -> np.random.Generator:
+    def _cell_rng(self, cell: Cell, salt: int = 0, force_cell: bool = False) -> _DoubleReader:
         """Per-cell generator ("cell" spatial mode) or per-grid-key
-        generator ("grid" mode: keyed on city + channel only).
+        generator ("grid" mode: keyed on city + channel only), read
+        through a :class:`_DoubleReader`.
 
         ``force_cell`` bypasses grid mode: the paper's near-zero spatial
         diversity for grid carriers concerns the *idle* SIB parameters
@@ -316,13 +457,15 @@ class CarrierProfile:
             key = (stable_hash(cell.city) & 0xFFFFFF, cell.channel)
         else:
             key = (cell.cell_id.gci, cell.channel)
-        return np.random.default_rng(
-            (self.seed, stable_hash(self.acronym) & 0xFFFF, key[0], key[1], salt)
+        return _DoubleReader(
+            np.random.default_rng((self.seed, self._carrier_key, key[0], key[1], salt))
         )
 
     # -- priorities ------------------------------------------------------
 
-    def priority_for_channel(self, channel: int, city: str, rng: np.random.Generator) -> int:
+    def priority_for_channel(
+        self, channel: int, city: str, rng: np.random.Generator | _DoubleReader
+    ) -> int:
         """LTE reselection priority of one EARFCN.
 
         Mostly a deterministic per-channel value (Fig. 18: each channel
@@ -339,8 +482,7 @@ class CarrierProfile:
             # their proximity diversity is ~zero in Fig. 21.
             if city not in self._city_priority:
                 city_rng = np.random.default_rng(
-                    (self.seed, stable_hash(self.acronym) & 0xFFFF,
-                     stable_hash(city) & 0xFFFF, 0xC17)
+                    (self.seed, self._carrier_key, stable_hash(city) & 0xFFFF, 0xC17)
                 )
                 self._city_priority[city] = int(city_rng.integers(3, 6))
             return self._city_priority[city]
@@ -358,9 +500,7 @@ class CarrierProfile:
         """Seed-pure part of :meth:`priority_for_channel` in cell mode:
         the channel's national priority and whether its market areas may
         shift it."""
-        base_rng = np.random.default_rng(
-            (self.seed, stable_hash(self.acronym) & 0xFFFF, channel, 0xBEEF)
-        )
+        base_rng = np.random.default_rng((self.seed, self._carrier_key, channel, 0xBEEF))
         try:
             from repro.cellnet.bands import earfcn_to_band
 
@@ -384,7 +524,7 @@ class CarrierProfile:
 
     # -- active-state (measConfig) ----------------------------------------
 
-    def _event_suite(self, rng: np.random.Generator) -> tuple[tuple[EventConfig, ...], PeriodicConfig | None]:
+    def _event_suite(self, rng: _DoubleReader) -> tuple[tuple[EventConfig, ...], PeriodicConfig | None]:
         """The armed events of one measConfig.
 
         Every connected UE gets an A2 (radio-problem detector).  The
@@ -392,15 +532,16 @@ class CarrierProfile:
         drawn from the Fig. 5 mix; P policies arm periodic reporting.
         """
         style = self.style
-        ttt = int(_draw(rng, style.time_to_trigger))
-        policy = str(_draw(rng, style.event_policy))
+        tables = self._tables
+        ttt = int(_draw(rng, tables["time_to_trigger"]))
+        policy = str(_draw(rng, tables["event_policy"]))
         events: list[EventConfig] = [
             EventConfig(
                 event=EventType.A2,
                 metric="rsrp",
-                threshold1=float(_draw(rng, {-114.0: 4, -112.0: 2, -116.0: 2, -118.0: 1})),
+                threshold1=float(_draw(rng, _A2_RSRP_THRESHOLD)),
                 hysteresis=1.0,
-                time_to_trigger_ms=nearest_time_to_trigger(640),
+                time_to_trigger_ms=_A2_TIME_TO_TRIGGER_MS,
                 report_amount=1,
             )
         ]
@@ -410,8 +551,8 @@ class CarrierProfile:
                 EventConfig(
                     event=EventType.A3,
                     metric="rsrp",
-                    offset=float(_draw(rng, style.a3_offsets)),
-                    hysteresis=float(_draw(rng, style.a3_hysteresis)),
+                    offset=float(_draw(rng, tables["a3_offsets"])),
+                    hysteresis=float(_draw(rng, tables["a3_hysteresis"])),
                     time_to_trigger_ms=ttt,
                     report_amount=1,
                 )
@@ -421,15 +562,15 @@ class CarrierProfile:
             # without this, the permissive (-44 dBm) A5 pairs fire on
             # the first measurement round and A5 would overwhelm the
             # instance mix relative to its cell-policy share.
-            ttt = int(_draw(rng, {640: 2, 1280: 4, 2560: 2}))
+            ttt = int(_draw(rng, _A5_TIME_TO_TRIGGER))
             use_rsrq = rng.random() < style.a5_rsrq_share
             if use_rsrq:
                 events.append(
                     EventConfig(
                         event=EventType.A5,
                         metric="rsrq",
-                        threshold1=float(_draw(rng, style.a5_serving_rsrq)),
-                        threshold2=float(_draw(rng, style.a5_candidate_rsrq)),
+                        threshold1=float(_draw(rng, tables["a5_serving_rsrq"])),
+                        threshold2=float(_draw(rng, tables["a5_candidate_rsrq"])),
                         hysteresis=1.0,
                         time_to_trigger_ms=ttt,
                         report_amount=1,
@@ -440,15 +581,15 @@ class CarrierProfile:
                     EventConfig(
                         event=EventType.A5,
                         metric="rsrp",
-                        threshold1=float(_draw(rng, style.a5_serving_rsrp)),
-                        threshold2=float(_draw(rng, style.a5_candidate_rsrp)),
+                        threshold1=float(_draw(rng, tables["a5_serving_rsrp"])),
+                        threshold2=float(_draw(rng, tables["a5_candidate_rsrp"])),
                         hysteresis=1.0,
                         time_to_trigger_ms=ttt,
                         report_amount=1,
                     )
                 )
         elif policy == "P":
-            periodic = PeriodicConfig(report_interval_ms=int(_draw(rng, {2048: 3, 5120: 4, 10240: 1})))
+            periodic = PeriodicConfig(report_interval_ms=int(_draw(rng, _PERIODIC_INTERVAL)))
         elif policy == "A1":
             events.append(
                 EventConfig(
@@ -464,7 +605,7 @@ class CarrierProfile:
                 EventConfig(
                     event=EventType.A4,
                     metric="rsrp",
-                    threshold1=float(_draw(rng, {-104.0: 2, -108.0: 1})),
+                    threshold1=float(_draw(rng, _A4_RSRP_THRESHOLD)),
                     hysteresis=1.0,
                     time_to_trigger_ms=ttt,
                 )
@@ -476,53 +617,69 @@ class CarrierProfile:
     def measurement_config(self, cell: Cell, obs_rng: np.random.Generator | None = None) -> MeasurementConfig:
         """The measConfig a UE connected to ``cell`` receives.
 
-        With ``obs_rng`` given, the observation may differ from the base
-        with probability ``active_churn`` — reproducing the much higher
-        temporal variability of active-state parameters (Fig. 13b).
+        With ``obs_rng`` given, this is one observation of it
+        (:meth:`observed_measurement`).
         """
         rng = self._cell_rng(cell, salt=1, force_cell=True)
         events, periodic = self._event_suite(rng)
-        if obs_rng is not None and obs_rng.random() < self.style.active_churn:
+        s_measure = float(_draw(rng, _S_MEASURE))
+        base = MeasurementConfig(events=events, periodic=periodic, s_measure=s_measure)
+        if obs_rng is None:
+            return base
+        return self.observed_measurement(cell, base, obs_rng)
+
+    def observed_measurement(
+        self, cell: Cell, base: MeasurementConfig, obs_rng: np.random.Generator
+    ) -> MeasurementConfig:
+        """One observation of ``cell``'s measConfig, whose base
+        (:meth:`measurement_config`) is ``base``.
+
+        The observation differs from the base with probability
+        ``active_churn``, keeping its s-Measure — reproducing the much
+        higher temporal variability of active-state parameters
+        (Fig. 13b).  Only ``obs_rng`` is drawn from.
+        """
+        if obs_rng.random() < self.style.active_churn:
             alt_rng = np.random.default_rng(
                 (self.seed, cell.cell_id.gci, int(obs_rng.integers(1 << 30)), 2)
             )
-            events, periodic = self._event_suite(alt_rng)
-        s_measure = float(_draw(rng, {-97.0: 5, -95.0: 2, -103.0: 1, -44.0: 1}))
-        return MeasurementConfig(events=events, periodic=periodic, s_measure=s_measure)
+            events, periodic = self._event_suite(_DoubleReader(alt_rng))
+            return MeasurementConfig(events=events, periodic=periodic, s_measure=base.s_measure)
+        return base
 
     # -- idle-state (SIBs) -------------------------------------------------
 
     def serving_config(self, cell: Cell, context: ConfigContext) -> ServingCellConfig:
         """SIB3 serving-cell configuration for ``cell``."""
         rng = self._cell_rng(cell, salt=3)
-        style = self.style
-        s_intra = float(_draw(rng, style.s_intra_search))
+        tables = self._tables
+        s_intra = float(_draw(rng, tables["s_intra_search"]))
         # Non-intra threshold never exceeds the intra threshold; ~5% of
         # cells configure them equal (both measurements invoked at the
         # same time — the paper's Fig. 11 tie case).
         if rng.random() < 0.05:
             s_non_intra = s_intra
         else:
-            s_non_intra = min(float(_draw(rng, style.s_non_intra_search)), s_intra)
+            s_non_intra = min(float(_draw(rng, tables["s_non_intra_search"])), s_intra)
         return ServingCellConfig(
-            q_hyst=float(_draw(rng, style.q_hyst)),
+            q_hyst=float(_draw(rng, tables["q_hyst"])),
             s_intra_search_p=s_intra,
-            s_intra_search_q=float(_draw(rng, {8.0: 5, 6.0: 2, 10.0: 1})),
+            s_intra_search_q=float(_draw(rng, _S_INTRA_SEARCH_Q)),
             s_non_intra_search_p=s_non_intra,
-            s_non_intra_search_q=float(_draw(rng, {4.0: 5, 6.0: 2, 2.0: 1})),
-            thresh_serving_low_p=float(_draw(rng, style.thresh_serving_low)),
-            thresh_serving_low_q=float(_draw(rng, {4.0: 5, 2.0: 2, 6.0: 1})),
+            s_non_intra_search_q=float(_draw(rng, _S_NON_INTRA_SEARCH_Q)),
+            thresh_serving_low_p=float(_draw(rng, tables["thresh_serving_low"])),
+            thresh_serving_low_q=float(_draw(rng, _THRESH_SERVING_LOW_Q)),
             cell_reselection_priority=self.priority_for_channel(cell.channel, context.city, rng),
-            q_rx_lev_min=float(_draw(rng, style.q_rx_lev_min)),
-            q_qual_min=float(_draw(rng, {-18.0: 6, -19.5: 2, -16.0: 1})),
+            q_rx_lev_min=float(_draw(rng, tables["q_rx_lev_min"])),
+            q_qual_min=float(_draw(rng, _Q_QUAL_MIN)),
             p_max=23,
-            t_reselection_eutra=int(_draw(rng, {1: 5, 2: 3, 0: 1})),
+            t_reselection_eutra=int(_draw(rng, _T_RESELECTION_EUTRA)),
         )
 
     def lte_config(self, cell: Cell, context: ConfigContext) -> LteCellConfig:
         """Complete base LTE configuration of ``cell``."""
         rng = self._cell_rng(cell, salt=4)
-        style = self.style
+        tables = self._tables
         serving = self.serving_config(cell, context)
         # The paper observes Theta(c)_lower > Theta(s)_lower: the target
         # of a lower-priority handoff is required to be better than the
@@ -536,22 +693,22 @@ class CarrierProfile:
             inter_layers.append(
                 InterFreqLayerConfig(
                     dl_carrier_freq=channel,
-                    q_offset_freq=float(_draw(rng, style.q_offset_freq)),
+                    q_offset_freq=float(_draw(rng, tables["q_offset_freq"])),
                     cell_reselection_priority=self.priority_for_channel(channel, context.city, rng),
-                    thresh_x_high_p=float(_draw(rng, style.thresh_x_high)),
-                    thresh_x_low_p=min(base_low + float(_draw(rng, style.thresh_x_low)) + 2.0, 62.0),
-                    q_rx_lev_min=float(_draw(rng, style.q_rx_lev_min)),
+                    thresh_x_high_p=float(_draw(rng, tables["thresh_x_high"])),
+                    thresh_x_low_p=min(base_low + float(_draw(rng, tables["thresh_x_low"])) + 2.0, 62.0),
+                    q_rx_lev_min=float(_draw(rng, tables["q_rx_lev_min"])),
                     p_max=23,
-                    t_reselection_eutra=int(_draw(rng, {1: 5, 2: 3})),
-                    allowed_meas_bandwidth=int(_draw(rng, {50: 5, 100: 3, 25: 1})),
+                    t_reselection_eutra=int(_draw(rng, _LAYER_T_RESELECTION_EUTRA)),
+                    allowed_meas_bandwidth=int(_draw(rng, _ALLOWED_MEAS_BANDWIDTH)),
                 )
             )
         utra_layers = tuple(
             InterRatUtraConfig(
                 carrier_freq=channel,
-                cell_reselection_priority=int(_draw(rng, {1: 6, 0: 2})),
-                thresh_x_high=float(_draw(rng, style.thresh_x_high)),
-                thresh_x_low=min(base_low + float(_draw(rng, style.thresh_x_low)) + 4.0, 62.0),
+                cell_reselection_priority=int(_draw(rng, _UTRA_PRIORITY)),
+                thresh_x_high=float(_draw(rng, tables["thresh_x_high"])),
+                thresh_x_low=min(base_low + float(_draw(rng, tables["thresh_x_low"])) + 4.0, 62.0),
                 q_rx_lev_min=-115.0,
                 t_reselection=2,
             )
@@ -561,8 +718,8 @@ class CarrierProfile:
             InterRatGeranConfig(
                 carrier_freqs=(channel,),
                 cell_reselection_priority=0,
-                thresh_x_high=float(_draw(rng, style.thresh_x_high)),
-                thresh_x_low=min(base_low + float(_draw(rng, style.thresh_x_low)) + 6.0, 62.0),
+                thresh_x_high=float(_draw(rng, tables["thresh_x_high"])),
+                thresh_x_low=min(base_low + float(_draw(rng, tables["thresh_x_low"])) + 6.0, 62.0),
                 q_rx_lev_min=-110.0,
                 t_reselection=2,
             )
@@ -571,9 +728,9 @@ class CarrierProfile:
         cdma_layers = tuple(
             InterRatCdmaConfig(
                 band_class=band,
-                cell_reselection_priority=int(_draw(rng, {1: 5, 0: 2})),
-                thresh_x_high=float(_draw(rng, style.thresh_x_high)),
-                thresh_x_low=min(base_low + float(_draw(rng, style.thresh_x_low)) + 4.0, 62.0),
+                cell_reselection_priority=int(_draw(rng, _CDMA_PRIORITY)),
+                thresh_x_high=float(_draw(rng, tables["thresh_x_high"])),
+                thresh_x_low=min(base_low + float(_draw(rng, tables["thresh_x_low"])) + 4.0, 62.0),
                 t_reselection=2,
             )
             for band in context.cdma_bands
@@ -581,7 +738,7 @@ class CarrierProfile:
         return LteCellConfig(
             serving=serving,
             intra_neighbors=IntraFreqNeighborConfig(
-                q_offset_cell=float(_draw(rng, {0.0: 8, 1.0: 1, -1.0: 1})),
+                q_offset_cell=float(_draw(rng, _Q_OFFSET_CELL)),
             ),
             inter_freq_layers=tuple(inter_layers),
             utra_layers=utra_layers,
@@ -604,22 +761,27 @@ class CarrierProfile:
         elapsed time), while measConfig content varies observation to
         observation with ``active_churn``.  ``base`` is the cell's
         :meth:`lte_config`, which a
-        :class:`~repro.rrc.broadcast.ConfigServer` already caches.
+        :class:`~repro.rrc.broadcast.ConfigServer` already caches; its
+        measConfig is the base the observation churns from.
         """
         serving = base.serving
         # Idle-state churn is an *event on the cell's timeline*, not an
         # observation effect: version the configuration per 90-day epoch
         # so two observations in the same epoch always agree (Fig. 13b's
         # near-flat, sub-2% idle curve).
+        gci = cell.cell_id.gci
         epoch = int(days_since_first // 90)
+        flips = self._idle_flips.setdefault(gci, [])
+        for e in range(len(flips) + 1, epoch + 1):
+            flip_rng = np.random.default_rng((self.seed, gci, 0xE0, e))
+            flips.append(flip_rng.random() < self.style.idle_churn_180d / 2.0)
         changed_epoch = 0
         for e in range(1, epoch + 1):
-            flip_rng = np.random.default_rng((self.seed, cell.cell_id.gci, 0xE0, e))
-            if flip_rng.random() < self.style.idle_churn_180d / 2.0:
+            if flips[e - 1]:
                 changed_epoch = e
         if changed_epoch:
-            alt_rng = np.random.default_rng(
-                (self.seed, cell.cell_id.gci, changed_epoch + 11, 5)
+            alt_rng = _DoubleReader(
+                np.random.default_rng((self.seed, gci, changed_epoch + 11, 5))
             )
             serving = ServingCellConfig(
                 **{
@@ -630,10 +792,10 @@ class CarrierProfile:
                         "q_rx_lev_min", "q_qual_min", "p_max",
                         "t_reselection_eutra",
                     )},
-                    "thresh_serving_low_p": float(_draw(alt_rng, self.style.thresh_serving_low)),
+                    "thresh_serving_low_p": float(_draw(alt_rng, self._tables["thresh_serving_low"])),
                 }
             )
-        measurement = self.measurement_config(cell, obs_rng=obs_rng)
+        measurement = self.observed_measurement(cell, base.measurement, obs_rng)
         return LteCellConfig(
             serving=serving,
             intra_neighbors=base.intra_neighbors,
@@ -657,49 +819,8 @@ class CarrierProfile:
         rng = self._cell_rng(cell, salt=6)
         if self.style.diversity == "none":
             return UmtsCellConfig()
-        ttt = {320: 4, 640: 2, 100: 1, 1280: 1}
-        hys = {1.0: 4, 0.5: 2, 1.5: 2, 2.0: 1}
         return UmtsCellConfig(
-            q_hyst_1s=float(_draw(rng, {4.0: 4, 2.0: 2, 6.0: 1})),
-            q_hyst_2s=float(_draw(rng, {4.0: 4, 2.0: 2, 6.0: 1})),
-            s_intrasearch=float(_draw(rng, {10.0: 4, 8.0: 2, 12.0: 2, 14.0: 1})),
-            s_intersearch=float(_draw(rng, {10.0: 4, 6.0: 2, 12.0: 1})),
-            s_search_rat=float(_draw(rng, {4.0: 4, 2.0: 2, 6.0: 1})),
-            s_limit_search_rat=float(_draw(rng, {4.0: 4, 6.0: 2, 2.0: 1})),
-            q_rxlevmin=float(_draw(rng, {-115.0: 6, -113.0: 2, -111.0: 1})),
-            t_reselection_s=int(_draw(rng, {1: 5, 2: 3, 0: 1})),
-            q_offset_s_n_1=float(_draw(rng, {0.0: 6, 2.0: 2, -2.0: 1})),
-            q_offset_s_n_2=float(_draw(rng, {0.0: 6, 2.0: 2})),
-            penalty_time=int(_draw(rng, {0: 5, 2: 2, 4: 1})),
-            temporary_offset=float(_draw(rng, {0.0: 6, 3.0: 2})),
-            priority_eutra=int(_draw(rng, {5: 5, 6: 2, 4: 2})),
-            thresh_high_eutra=float(_draw(rng, {8.0: 4, 12.0: 2, 6.0: 1})),
-            thresh_low_eutra=float(_draw(rng, {4.0: 4, 2.0: 2, 0.0: 1})),
-            priority_serving=int(_draw(rng, {2: 6, 1: 2, 3: 1})),
-            thresh_serving_low=float(_draw(rng, {4.0: 4, 2.0: 2, 6.0: 2, 8.0: 1})),
-            t_reselection_eutra=int(_draw(rng, {2: 5, 1: 3})),
-            e1a_reporting_range=float(_draw(rng, {4.0: 4, 3.0: 2, 5.0: 2, 6.0: 1})),
-            e1a_hysteresis=float(_draw(rng, hys)),
-            e1a_time_to_trigger=int(_draw(rng, ttt)),
-            e1b_reporting_range=float(_draw(rng, {6.0: 4, 5.0: 2, 8.0: 1})),
-            e1b_hysteresis=float(_draw(rng, hys)),
-            e1b_time_to_trigger=int(_draw(rng, ttt)),
-            e1c_replacement_threshold=float(_draw(rng, {-95.0: 4, -93.0: 2, -97.0: 1})),
-            e1c_time_to_trigger=int(_draw(rng, ttt)),
-            e1d_time_to_trigger=int(_draw(rng, ttt)),
-            e1e_threshold=float(_draw(rng, {-100.0: 4, -98.0: 2, -102.0: 1})),
-            e1f_threshold=float(_draw(rng, {-105.0: 4, -103.0: 2, -107.0: 1})),
-            intra_freq_filter_coefficient=int(_draw(rng, {3: 4, 4: 2, 2: 1})),
-            e2b_threshold_used=float(_draw(rng, {-100.0: 4, -98.0: 2, -102.0: 1})),
-            e2b_threshold_non_used=float(_draw(rng, {-95.0: 4, -93.0: 2})),
-            e2b_time_to_trigger=int(_draw(rng, ttt)),
-            e2d_threshold_used=float(_draw(rng, {-103.0: 4, -101.0: 2, -105.0: 1})),
-            e2d_time_to_trigger=int(_draw(rng, ttt)),
-            e2f_threshold_used=float(_draw(rng, {-98.0: 4, -96.0: 2})),
-            e2f_time_to_trigger=int(_draw(rng, ttt)),
-            e3a_threshold_own=float(_draw(rng, {-102.0: 4, -100.0: 2, -104.0: 1})),
-            e3a_threshold_other=float(_draw(rng, {-98.0: 4, -96.0: 2})),
-            e3a_time_to_trigger=int(_draw(rng, ttt)),
+            **{name: kind(_draw(rng, table)) for name, kind, table in _UMTS_DRAWS}
         )
 
     def gsm_config(self, cell: Cell) -> GsmCellConfig:
@@ -708,8 +829,8 @@ class CarrierProfile:
         if self.style.diversity == "none" or rng.random() < 0.9:
             return GsmCellConfig()
         return GsmCellConfig(
-            cell_reselect_hysteresis=float(_draw(rng, {4.0: 4, 6.0: 2, 2.0: 1})),
-            cell_reselect_offset=float(_draw(rng, {0.0: 5, 2.0: 1})),
+            cell_reselect_hysteresis=float(_draw(rng, _GSM_RESELECT_HYSTERESIS)),
+            cell_reselect_offset=float(_draw(rng, _GSM_RESELECT_OFFSET)),
         )
 
     def evdo_config(self, cell: Cell) -> EvdoCellConfig:
@@ -718,8 +839,8 @@ class CarrierProfile:
         if self.style.diversity == "none" or rng.random() < 0.85:
             return EvdoCellConfig()
         return EvdoCellConfig(
-            pilot_add=float(_draw(rng, {-7.0: 5, -6.5: 1, -7.5: 1})),
-            pilot_drop=float(_draw(rng, {-9.0: 5, -8.5: 1})),
+            pilot_add=float(_draw(rng, _EVDO_PILOT_ADD)),
+            pilot_drop=float(_draw(rng, _EVDO_PILOT_DROP)),
         )
 
     def cdma1x_config(self, cell: Cell) -> Cdma1xCellConfig:
@@ -727,7 +848,7 @@ class CarrierProfile:
         rng = self._cell_rng(cell, salt=9)
         if self.style.diversity == "none" or rng.random() < 0.92:
             return Cdma1xCellConfig()
-        return Cdma1xCellConfig(t_add=float(_draw(rng, {-7.0: 5, -6.5: 1})))
+        return Cdma1xCellConfig(t_add=float(_draw(rng, _CDMA1X_T_ADD)))
 
     def legacy_config(self, cell: Cell):
         """Dispatch to the right legacy generator for ``cell``'s RAT."""

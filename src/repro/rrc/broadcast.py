@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.cellnet.bands import earfcn_to_band
 from repro.cellnet.cell import Cell
 from repro.cellnet.rat import RAT
 from repro.cellnet.world import RadioEnvironment
-from repro.config.lte import LteCellConfig, MeasurementConfig
+from repro.config.lte import LteCellConfig
 from repro.config.profiles import ConfigContext, profile_for_carrier
 from repro.rrc.messages import (
     LegacySystemInfo,
@@ -55,22 +56,28 @@ class ConfigServer:
         self._reconfig_cache: dict = {}
 
     def context_for(self, cell: Cell) -> ConfigContext:
-        """Deployment context of one cell (cached)."""
-        if cell.cell_id in self._contexts:
-            return self._contexts[cell.cell_id]
-        nearby = self.env.cells_near(cell.location, carrier=cell.carrier, radius_m=_CONTEXT_RADIUS_M)
-        lte_channels = tuple(sorted({c.channel for c in nearby if c.rat is RAT.LTE}))
-        utra_channels = tuple(sorted({c.channel for c in nearby if c.rat is RAT.UMTS}))
-        geran_channels = tuple(sorted({c.channel for c in nearby if c.rat is RAT.GSM}))
-        cdma_bands = tuple(sorted({c.band_number for c in nearby if c.rat in (RAT.EVDO, RAT.CDMA1X)}))
-        context = ConfigContext(
-            city=cell.city,
-            lte_channels=lte_channels,
-            utra_channels=utra_channels,
-            geran_channels=geran_channels,
-            cdma_bands=cdma_bands,
-        )
-        self._contexts[cell.cell_id] = context
+        """Deployment context of one cell.
+
+        Cached per site: the context is a function of the carrier, the
+        location (the layers within ``_CONTEXT_RADIUS_M``) and the city
+        alone, so the cells of one site share it.
+        """
+        key = (cell.carrier, cell.location, cell.city)
+        context = self._contexts.get(key)
+        if context is None:
+            layers = self.env.layer_channels(cell.location, cell.carrier, _CONTEXT_RADIUS_M)
+            context = ConfigContext(
+                city=cell.city,
+                lte_channels=layers.get(RAT.LTE, ()),
+                utra_channels=layers.get(RAT.UMTS, ()),
+                geran_channels=layers.get(RAT.GSM, ()),
+                cdma_bands=tuple(sorted({
+                    earfcn_to_band(channel, rat).number
+                    for rat in (RAT.EVDO, RAT.CDMA1X)
+                    for channel in layers.get(rat, ())
+                })),
+            )
+            self._contexts[key] = context
         return context
 
     def lte_config(self, cell: Cell) -> LteCellConfig:
@@ -156,14 +163,20 @@ class ConfigServer:
     def connection_reconfiguration(
         self, cell: Cell, obs_rng: np.random.Generator | None = None
     ) -> RrcConnectionReconfiguration:
-        """The measConfig message a UE connecting to ``cell`` receives."""
-        if obs_rng is None:
-            cached = self._reconfig_cache.get(cell.cell_id)
-            if cached is not None:
-                return cached
+        """The measConfig message a UE connecting to ``cell`` receives.
+
+        With ``obs_rng`` given, one observation of it, churned from the
+        cell's cached base message.
+        """
         profile = profile_for_carrier(cell.carrier, seed=self.seed)
-        meas: MeasurementConfig = profile.measurement_config(cell, obs_rng=obs_rng)
-        message = RrcConnectionReconfiguration(meas_config=meas)
-        if obs_rng is None:
+        message = self._reconfig_cache.get(cell.cell_id)
+        if message is None:
+            # A cached base configuration already holds the base measConfig.
+            base = self._base_configs.get(cell.cell_id)
+            meas = base.measurement if base is not None else profile.measurement_config(cell)
+            message = RrcConnectionReconfiguration(meas_config=meas)
             self._reconfig_cache[cell.cell_id] = message
-        return message
+        if obs_rng is None:
+            return message
+        observed = profile.observed_measurement(cell, message.meas_config, obs_rng)
+        return RrcConnectionReconfiguration(meas_config=observed)

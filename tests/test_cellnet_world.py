@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.cellnet.cell import Cell, CellId
+from repro.cellnet.deployment import DeploymentPlan
+from repro.cellnet.geo import Point
 from repro.cellnet.rat import RAT
 from repro.cellnet.world import RadioEnvironment
+from repro.config.profiles import ConfigContext
+from repro.rrc.broadcast import ConfigServer
 
 
 def test_cells_near_filters(env, scenario):
@@ -223,3 +229,100 @@ def test_prepared_set_independent_of_query_order(scenario):
     second = RadioEnvironment(scenario.plan)
     first.prepared_for(low, "A")
     assert first.prepared_for(high, "A").cells == second.prepared_for(high, "A").cells
+
+
+#: Channels of the random worlds below, few per RAT so that carriers
+#: share some and not others; EVDO and CDMA1X channels map onto the same
+#: band classes (0 and 1), so their band numbers collide across RATs.
+_WORLD_CHANNELS = {
+    RAT.LTE: (850, 1975, 5110, 9820),
+    RAT.UMTS: (4385, 4435, 9800),
+    RAT.GSM: (128, 190, 600),
+    RAT.EVDO: (50, 900),
+    RAT.CDMA1X: (75, 1000),
+}
+_CONTEXT_RADIUS_M = 4000.0
+_CITIES = ("Gary", "Peoria")
+
+
+@st.composite
+def _worlds(draw):
+    """A small world: 2-5 carriers, every RAT, random and edge sites.
+
+    Besides random sites, cells sit at exactly the context radius from
+    the origin site and one ulp inside and outside it, and one carrier
+    has two co-located cells in two cities.
+    """
+    carriers = draw(st.lists(st.sampled_from("ABCDE"), min_size=2, max_size=5, unique=True))
+    coordinates = st.floats(min_value=-6000.0, max_value=6000.0, allow_nan=False)
+    ulp_below = float(np.nextafter(_CONTEXT_RADIUS_M, 0.0))
+    ulp_above = float(np.nextafter(_CONTEXT_RADIUS_M, np.inf))
+    sites = [Point(0.0, 0.0), Point(_CONTEXT_RADIUS_M, 0.0), Point(0.0, ulp_below),
+             Point(-ulp_above, 0.0), Point(2400.0, -3200.0)]
+    sites += [Point(draw(coordinates), draw(coordinates)) for _ in range(draw(st.integers(1, 5)))]
+    layers = st.sampled_from([(rat, ch) for rat, chs in _WORLD_CHANNELS.items() for ch in chs])
+    cells = [
+        (site, draw(st.sampled_from(carriers)), *draw(layers), draw(st.sampled_from(_CITIES)))
+        for site in sites
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    for rat, channels in _WORLD_CHANNELS.items():
+        cells.append((draw(st.sampled_from(sites)), draw(st.sampled_from(carriers)), rat,
+                      draw(st.sampled_from(channels)), draw(st.sampled_from(_CITIES))))
+    site, (rat, channel) = draw(st.sampled_from(sites)), draw(layers)
+    cells += [(site, carriers[0], rat, channel, city) for city in _CITIES]
+    plan = DeploymentPlan()
+    for location, carrier, rat, channel, city in cells:
+        gci = plan.next_gci(carrier)
+        plan.registry.add(Cell(
+            cell_id=CellId(carrier, gci), rat=rat, channel=channel, pci=gci % 504,
+            location=location, city=city,
+        ))
+    return plan, carriers
+
+
+def _brute_layers(env, location, carrier, radius):
+    channels: dict = {}
+    for c in _brute_near(env, location, radius, carrier):
+        channels.setdefault(c.rat, set()).add(c.channel)
+    return {rat: tuple(sorted(values)) for rat, values in channels.items()}
+
+
+def _scan_context(env, cell):
+    """The per-cell context formula: a neighbour scan and one set
+    comprehension per layer kind."""
+    nearby = _brute_near(env, cell.location, _CONTEXT_RADIUS_M, cell.carrier)
+    return ConfigContext(
+        city=cell.city,
+        lte_channels=tuple(sorted({c.channel for c in nearby if c.rat is RAT.LTE})),
+        utra_channels=tuple(sorted({c.channel for c in nearby if c.rat is RAT.UMTS})),
+        geran_channels=tuple(sorted({c.channel for c in nearby if c.rat is RAT.GSM})),
+        cdma_bands=tuple(sorted({
+            c.band_number for c in nearby if c.rat in (RAT.EVDO, RAT.CDMA1X)
+        })),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(world=_worlds())
+def test_layer_channels_and_contexts_match_a_scan(world):
+    """On random small worlds the per-RAT channel query equals a
+    ``distance_to`` scan (radius edges included: each distance to
+    another cell, and one ulp either side of it), and every cell's
+    context, memoized per site, equals the per-cell scan formula."""
+    plan, carriers = world
+    env = RadioEnvironment(plan)
+    cells = plan.registry.all_cells()
+    for location in sorted({c.location for c in cells}, key=lambda p: (p.x, p.y)):
+        radii = {_CONTEXT_RADIUS_M}
+        for other in cells[:6]:
+            d = other.location.distance_to(location)
+            radii |= {d, float(np.nextafter(d, 0.0)), float(np.nextafter(d, np.inf))}
+        for carrier in [*carriers, "no-such-carrier"]:
+            for radius in sorted(radii):
+                assert env.layer_channels(location, carrier, radius) == _brute_layers(
+                    env, location, carrier, radius
+                )
+    server = ConfigServer(env)
+    for cell in cells:
+        assert server.context_for(cell) == _scan_context(env, cell), cell

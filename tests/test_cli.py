@@ -55,3 +55,17 @@ def test_build_d1_writes_jsonl(tmp_path, capsys):
     from repro.datasets.store import HandoffInstanceStore
 
     HandoffInstanceStore.load(out)  # must parse back
+
+
+def test_snapshot_default_label_is_the_file_name(tmp_path, capsys):
+    """Captures of one world into two directories are byte-identical:
+    the default label is the output's file name, not its path."""
+    from repro.lint import ConfigSnapshot
+
+    paths = [tmp_path / name / "snap.json" for name in ("a", "b")]
+    for path in paths:
+        path.parent.mkdir()
+        assert main(["snapshot", "--max-cells", "3", "--out", str(path)]) == 0
+    assert "'snap.json'" in capsys.readouterr().err
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert ConfigSnapshot.load(paths[0]).label == "snap.json"

@@ -1,9 +1,12 @@
-"""Property tests: the cached-CDF ``_draw`` is ``Generator.choice``.
+"""Property tests: a built-table ``_draw`` through the block reader is
+``Generator.choice``.
 
 Every configuration value a profile generates is a ``_draw`` from a
-{value: weight} table.  The draw must return the value
-``values[rng.choice(n, p=weights)]`` returns and leave the generator in
-the same state, or every dataset, lint report and digest downstream
+{value: weight} table built once (``_table``), on a per-cell stream read
+16 doubles at a time (``_DoubleReader``).  The draw must return the
+value ``values[rng.choice(n, p=weights)]`` returns on a fresh generator,
+and the stream must stay where successive ``Generator.random()`` calls
+would leave it, or every dataset, lint report and digest downstream
 shifts.
 """
 
@@ -13,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config.profiles import _draw
+from repro.config.profiles import _DoubleReader, _draw, _table
 
 _keys = st.one_of(
     st.integers(min_value=-200, max_value=200),
@@ -41,25 +44,38 @@ def _reference(rng: np.random.Generator, table: dict) -> object:
 
 @settings(max_examples=300, deadline=None)
 @given(
-    table=_tables,
+    tables=st.lists(_tables, min_size=1, max_size=4),
     seed=st.integers(min_value=0, max_value=2**63),
-    draws=st.integers(min_value=1, max_value=8),
+    data=st.data(),
 )
-def test_draw_matches_generator_choice(table, seed, draws):
-    rng = np.random.default_rng(seed)
+def test_draw_matches_generator_choice(tables, seed, data):
+    """1-80 draws from the tables, interleaved with raw ``random()``
+    reads (``None``), cross the reader's block boundaries; each returns
+    what ``choice`` or ``random()`` returns on a fresh generator."""
+    ops = data.draw(
+        st.lists(
+            st.one_of(st.none(), st.integers(min_value=0, max_value=len(tables) - 1)),
+            min_size=1,
+            max_size=80,
+        ).filter(lambda ops: any(op is not None for op in ops))
+    )
+    built = [_table(table) for table in tables]
+    reader = _DoubleReader(np.random.default_rng(seed))
     ref = np.random.default_rng(seed)
-    for _ in range(draws):
-        got = _draw(rng, table)
-        want = _reference(ref, table)
-        assert got is want
-        assert rng.bit_generator.state == ref.bit_generator.state
+    for op in ops:
+        if op is None:
+            assert reader.random() == ref.random()
+        else:
+            assert _draw(reader, built[op]) is _reference(ref, tables[op])
+    # The stream sits where the reference left it.
+    assert reader.random() == ref.random()
 
 
 def test_draw_keeps_key_types_apart():
     """``{1: w}`` and ``{1.0: w}`` share a CDF, never a value."""
-    rng = np.random.default_rng(0)
-    assert type(_draw(rng, {1: 3, 2: 1})) is int
-    assert type(_draw(rng, {1.0: 3, 2.0: 1})) is float
+    rng = _DoubleReader(np.random.default_rng(0))
+    assert type(_draw(rng, _table({1: 3, 2: 1}))) is int
+    assert type(_draw(rng, _table({1.0: 3, 2.0: 1}))) is float
 
 
 @pytest.mark.parametrize(
@@ -73,9 +89,22 @@ def test_draw_keeps_key_types_apart():
     ids=["negative", "nan", "all-zero", "empty"],
 )
 def test_draw_rejects_what_choice_rejects(table):
-    for draw in (_reference, _draw):
-        rng = np.random.default_rng(7)
-        state = rng.bit_generator.state
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
-            draw(rng, table)
-        assert rng.bit_generator.state == state
+    """A table ``choice`` would reject raises its ``ValueError`` when it
+    is built, before any draw."""
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError):
+            _reference(rng, table)
+        with pytest.raises(ValueError):
+            _table(table)
+    assert rng.bit_generator.state == state
+
+
+def test_reader_offers_uniform_doubles_only():
+    """Any draw but ``random()`` fails on a reader instead of reading
+    the stream some other way."""
+    reader = _DoubleReader(np.random.default_rng(3))
+    for name in ("integers", "choice", "normal", "uniform", "bit_generator"):
+        with pytest.raises(AttributeError):
+            getattr(reader, name)
