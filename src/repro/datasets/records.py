@@ -202,4 +202,15 @@ class HandoffInstance:
 
     @classmethod
     def from_json(cls, line: str) -> "HandoffInstance":
-        return cls(**json.loads(line))
+        """Parse one JSONL line: an object of ``HandoffInstance``'s keys.
+
+        A line that is not JSON, not an object, or lacks a required key
+        or holds an unknown one raises ``ValueError``.
+        """
+        data = json.loads(line)
+        if type(data) is not dict:
+            raise ValueError(f"expected an object, got {type(data).__name__}")
+        try:
+            return cls(**data)
+        except TypeError as error:
+            raise ValueError(str(error)) from error

@@ -3,7 +3,7 @@
 The stores are deliberately simple append-and-scan containers: the
 paper's analyses are all full-population statistics (distributions,
 diversity indices, CDFs), so the useful operations are filtering and
-grouping, not point lookup.  Three concessions to scale:
+grouping, not point lookup.  Four concessions to scale:
 
 * ``ConfigSampleStore`` keeps one lazy index per filtered field
   (carrier, RAT, city, parameter), so the ``for_*`` filters and the
@@ -16,6 +16,13 @@ grouping, not point lookup.  Three concessions to scale:
   category strings and passes the other fields through one table per
   load, so millions of reloaded samples point at a few thousand value
   objects instead of each owning its own copies.
+* D2 lines repeat: each is a *head* (carrier to city), a *mid*
+  (parameter and value) and a *tail* (observed_day and round_index), and
+  a store holds far fewer distinct fragments than lines.  ``save``
+  encodes each distinct fragment once and ``load`` decodes each once;
+  ``ConfigSample.to_json`` and ``records.sample_fields`` stay the
+  definitions, and any line or fragment the memos cannot key exactly
+  goes through them instead.
 """
 
 from __future__ import annotations
@@ -28,11 +35,18 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from repro.datasets.records import ConfigSample, HandoffInstance, sample_fields
+from repro.datasets.records import (
+    ConfigSample,
+    HandoffInstance,
+    _decode,
+    _encode,
+    _tuples,
+    sample_fields,
+)
 
 
-def _atomic_write_jsonl(path: str | Path, records: Iterable) -> None:
-    """Write ``record.to_json()`` lines to ``path`` atomically.
+def _atomic_write_jsonl(path: str | Path, lines: Iterable[str]) -> None:
+    """Write ``lines`` to ``path`` atomically, each ended by a newline.
 
     The temp file lives in the target's directory so ``os.replace`` is
     a same-filesystem rename: readers see either the old file or the
@@ -44,9 +58,10 @@ def _atomic_write_jsonl(path: str | Path, records: Iterable) -> None:
     )
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
-            for record in records:
-                f.write(record.to_json())
-                f.write("\n")
+            write = f.write
+            for line in lines:
+                write(line)
+                write("\n")
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -79,6 +94,76 @@ def _share_key(value: object) -> object:
     if kind is bool or value is None:
         return (kind, value)
     return None
+
+
+#: Where a D2 line's mid and tail start.  A bare ``"`` cannot occur
+#: inside a JSON string, so in a valid line the first occurrence of each
+#: marker separates two top-level members.
+_MID = ',"parameter":'
+_TAIL = ',"observed_day":'
+#: ``ConfigSample``'s fields, in order, split into the three fragments.
+_HEAD_KEYS = ("carrier", "gci", "rat", "channel", "city")
+_HEAD_TYPES = [str, int, str, int, str]
+_MID_KEYS = ("parameter", "value")
+_TAIL_KEYS = ("observed_day", "round_index")
+
+
+def _sample_lines(samples: Iterable[ConfigSample]) -> Iterator[str]:
+    """``sample.to_json()`` of each sample, from memoized fragments.
+
+    The encoder writes each member of a dict on its own, so a line is
+    its head, mid and tail sub-dicts encoded and trimmed where they join
+    (the head's closing brace, both of the mid's, the tail's opening
+    one).  Each fragment is encoded once per call, memoized under a
+    key that tells exact types and float bits apart (``1``, ``1.0`` and
+    ``True`` apart, ``0.0`` apart from ``-0.0``).  A fragment without
+    such a key (a NaN, a dict value, a value of a non-exact type) is
+    encoded for its own line.
+    """
+    heads: dict[object, str] = {}
+    mids: dict[object, str] = {}
+    tails: dict[object, str] = {}
+    for s in samples:
+        carrier, gci, rat, channel, city = s.carrier, s.gci, s.rat, s.channel, s.city
+        key: object = (carrier, gci, rat, channel, city)
+        if list(map(type, key)) != _HEAD_TYPES:
+            key = None
+        head = heads.get(key)
+        if head is None:
+            head = _encode({
+                "carrier": carrier, "gci": gci, "rat": rat, "channel": channel,
+                "city": city,
+            })[:-1] + ","
+            if key is not None:
+                heads[key] = head
+        parameter, value = s.parameter, s.value
+        key = _share_key(value)
+        key = None if key is None or type(parameter) is not str else (parameter, key)
+        mid = mids.get(key)
+        if mid is None:
+            mid = _encode({"parameter": parameter, "value": value})[1:-1] + ","
+            if key is not None:
+                mids[key] = mid
+        day, round_index = s.observed_day, s.round_index
+        key = _share_key(day)
+        key = None if key is None or type(round_index) is not int else (key, round_index)
+        tail = tails.get(key)
+        if tail is None:
+            tail = _encode({"observed_day": day, "round_index": round_index})[1:]
+            if key is not None:
+                tails[key] = tail
+        yield head + mid + tail
+
+
+def _fragment(text: str, keys: tuple[str, ...]) -> list | None:
+    """The values of ``text``, or None unless it is an object with ``keys``."""
+    try:
+        data = _decode(text)
+    except ValueError:
+        return None
+    if type(data) is not dict or tuple(data) != keys:
+        return None
+    return list(data.values())
 
 
 class ConfigSampleStore:
@@ -185,8 +270,12 @@ class ConfigSampleStore:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Write the store as JSONL (atomically: temp file + rename)."""
-        _atomic_write_jsonl(path, self._samples)
+        """Write the store as JSONL (atomically: temp file + rename).
+
+        The bytes are ``sample.to_json()`` plus a newline per sample,
+        built from memoized fragments (``_sample_lines``).
+        """
+        _atomic_write_jsonl(path, _sample_lines(self._samples))
 
     @classmethod
     def load(cls, path: str | Path) -> "ConfigSampleStore":
@@ -198,34 +287,96 @@ class ConfigSampleStore:
         city and parameter are interned; gci, channel, value,
         observed_day and round_index pass through one table per load
         (see ``_share_key``), so equal values share one object.
+
+        A line is split at the first ``_MID`` and the first ``_TAIL``
+        after it, and each distinct fragment is decoded once, completed
+        to an object (``head + "}"``, ``"{" + mid + "}"``, ``"{" +
+        tail``) and checked by ``sample_fields``' rules.  If all three
+        hold exactly their keys, the line is one object with the nine
+        members in order and the same values, so the fragment path
+        accepts a subset of what ``sample_fields`` accepts.  A fragment
+        holding a NaN, or a value ``_share_key`` refuses, is decoded for
+        its own line and never memoized, so every NaN token stays its
+        own float.  Any line the split cannot take (no marker, a
+        fragment failing a check, a non-canonical spelling) goes to
+        ``sample_fields``, which raises the error.
         """
         store = cls()
         append = store._samples.append
         share = {}.setdefault
         intern = sys.intern
+        heads: dict[str, tuple] = {}
+        mids: dict[str, tuple] = {}
+        tails: dict[str, tuple] = {}
 
         def shared(value: object) -> object:
             key = _share_key(value)
             return value if key is None else share(key, value)
+
+        def split(line: str) -> tuple | None:
+            """The line's fields from memoized fragments, or None."""
+            mid_at = line.find(_MID)
+            tail_at = line.find(_TAIL, mid_at + len(_MID)) if mid_at >= 0 else -1
+            if tail_at < 0:
+                return None
+            text = line[:mid_at]
+            head = heads.get(text)
+            if head is None:
+                values = _fragment(text + "}", _HEAD_KEYS)
+                if values is None or list(map(type, values)) != _HEAD_TYPES:
+                    return None
+                carrier, gci, rat, channel, city = values
+                head = heads[text] = (
+                    intern(carrier), share(gci, gci), intern(rat),
+                    share(channel, channel), intern(city),
+                )
+            text = line[mid_at + 1 : tail_at]
+            mid = mids.get(text)
+            if mid is None:
+                values = _fragment("{" + text + "}", _MID_KEYS)
+                if values is None or type(values[0]) is not str:
+                    return None
+                parameter, value = values
+                if type(value) is list:
+                    value = _tuples(value)
+                key = _share_key(value)
+                mid = (intern(parameter), value if key is None else share(key, value))
+                if key is not None:
+                    mids[text] = mid
+            text = line[tail_at + 1 :]
+            tail = tails.get(text)
+            if tail is None:
+                values = _fragment("{" + text, _TAIL_KEYS)
+                if values is None or type(values[1]) is not int:
+                    return None
+                day, round_index = values
+                key = _share_key(day)
+                tail = (day if key is None else share(key, day), share(round_index, round_index))
+                if key is not None:
+                    tails[text] = tail
+            return head + mid + tail
 
         with open(path, encoding="utf-8") as f:
             for lineno, line in enumerate(f, 1):
                 line = line.strip()
                 if not line:
                     continue
-                try:
-                    carrier, gci, rat, channel, city, parameter, value, day, round_index = (
-                        sample_fields(line)
+                fields = split(line)
+                if fields is None:
+                    try:
+                        carrier, gci, rat, channel, city, parameter, value, day, round_index = (
+                            sample_fields(line)
+                        )
+                    except ValueError as error:
+                        raise ValueError(f"{path}:{lineno}: {error}") from error
+                    # gci, channel and round_index are checked ints,
+                    # which key as themselves.
+                    fields = (
+                        intern(carrier), share(gci, gci), intern(rat),
+                        share(channel, channel), intern(city), intern(parameter),
+                        shared(value), shared(day), share(round_index, round_index),
                     )
-                except ValueError as error:
-                    raise ValueError(f"{path}:{lineno}: {error}") from error
-                # gci, channel and round_index are checked ints, which
-                # key as themselves.
-                append(ConfigSample(
-                    intern(carrier), share(gci, gci), intern(rat),
-                    share(channel, channel), intern(city), intern(parameter),
-                    shared(value), shared(day), share(round_index, round_index),
-                ))
+                append(ConfigSample(*fields))
         return store
 
 
@@ -266,14 +417,19 @@ class HandoffInstanceStore:
 
     def save(self, path: str | Path) -> None:
         """Write the store as JSONL (atomically: temp file + rename)."""
-        _atomic_write_jsonl(path, self._instances)
+        _atomic_write_jsonl(path, (i.to_json() for i in self._instances))
 
     @classmethod
     def load(cls, path: str | Path) -> "HandoffInstanceStore":
+        """Read a store from JSONL; a bad line raises ``ValueError`` naming it."""
         store = cls()
         with open(path, encoding="utf-8") as f:
-            for line in f:
+            for lineno, line in enumerate(f, 1):
                 line = line.strip()
-                if line:
+                if not line:
+                    continue
+                try:
                     store.add(HandoffInstance.from_json(line))
+                except ValueError as error:
+                    raise ValueError(f"{path}:{lineno}: {error}") from error
         return store

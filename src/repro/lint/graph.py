@@ -593,6 +593,41 @@ def _strongly_connected(
     return components
 
 
+def _extend_cycles(
+    node: LayerRef,
+    start: LayerRef,
+    successors: dict[LayerRef, list[LayerRef]],
+    path: list[LayerRef],
+    seen: set[LayerRef],
+    cycles: list[tuple[LayerRef, ...]],
+    limit: int,
+) -> bool:
+    """Append the cycles through ``path`` back to ``start``; False at ``limit``.
+
+    A module-level function, not a closure: a nested function recursing
+    through itself sits in its own closure cell, and that cycle keeps the
+    walk's successor lists, path and seen sets alive until the cyclic
+    collector runs.
+    """
+    for nxt in successors[node]:
+        if nxt < start:
+            continue
+        if nxt == start and len(path) >= 2:
+            if len(cycles) >= limit:
+                return False
+            cycles.append(tuple(path))
+            continue
+        if nxt in seen or len(path) >= MAX_CYCLE_LEN:
+            continue
+        seen.add(nxt)
+        path.append(nxt)
+        if not _extend_cycles(nxt, start, successors, path, seen, cycles, limit):
+            return False
+        path.pop()
+        seen.discard(nxt)
+    return True
+
+
 def _enumerate_cycles(
     adjacency: dict[LayerRef, set[LayerRef]], limit: int
 ) -> tuple[list[tuple[LayerRef, ...]], bool]:
@@ -603,39 +638,20 @@ def _enumerate_cycles(
     smallest member.  Returns (cycles, truncated-at-limit flag).
     """
     cycles: list[tuple[LayerRef, ...]] = []
-    truncated = False
     for scc in _strongly_connected(adjacency):
         if len(scc) < 2:
             continue
         members = set(scc)
+        # Each member's successors within the SCC, sorted once per SCC
+        # rather than on every visit.
+        successors = {
+            node: sorted(nxt for nxt in adjacency.get(node, ()) if nxt in members)
+            for node in scc
+        }
         for start in scc:
-            path = [start]
-            seen = {start}
-
-            def dfs(node: LayerRef) -> bool:
-                nonlocal truncated
-                for nxt in sorted(adjacency.get(node, ())):
-                    if nxt not in members or nxt < start:
-                        continue
-                    if nxt == start and len(path) >= 2:
-                        if len(cycles) >= limit:
-                            truncated = True
-                            return False
-                        cycles.append(tuple(path))
-                        continue
-                    if nxt in seen or len(path) >= MAX_CYCLE_LEN:
-                        continue
-                    seen.add(nxt)
-                    path.append(nxt)
-                    if not dfs(nxt):
-                        return False
-                    path.pop()
-                    seen.discard(nxt)
-                return True
-
-            if not dfs(start):
-                return cycles, truncated
-    return cycles, truncated
+            if not _extend_cycles(start, start, successors, [start], {start}, cycles, limit):
+                return cycles, True
+    return cycles, False
 
 
 @dataclass(frozen=True)

@@ -236,6 +236,13 @@ _CACHEABLE_TYPES = frozenset(
 )
 _encode_cache: dict[msg.Message, bytes] = {}
 _ENCODE_CACHE_MAX = 4096
+#: The decode-side mirror: a cacheable type's message decoded once per
+#: distinct payload.  Decoding is a pure function of the bytes and these
+#: types decode to frozen, hashable trees, so every record of one
+#: payload may share one message, which no reader may mutate.
+#: LegacySystemInfo (a mutable ``fields`` dict) and the per-emission
+#: messages are decoded fresh every time.
+_decode_cache: dict[bytes, msg.Message] = {}
 
 
 def _encode_uncached(message: msg.Message) -> bytes:
@@ -329,9 +336,16 @@ def encode_message(message: msg.Message) -> bytes:
 def decode_message(buf: bytes) -> msg.Message:
     """Parse a binary wire form back into a typed message.
 
+    A message of a cacheable type is memoized by its payload bytes
+    (``_decode_cache``), so equal payloads decode to one shared object.
+
     Raises:
         CodecError: On unknown type codes, malformed or trailing bytes.
     """
+    if type(buf) is bytes:
+        cached = _decode_cache.get(buf)
+        if cached is not None:
+            return cached
     type_code, pos = _read_varint(buf, 0)
     message_type = msg.MESSAGE_TYPES.get(type_code)
     if message_type is None:
@@ -341,4 +355,9 @@ def decode_message(buf: bytes) -> msg.Message:
         raise CodecError(f"{len(buf) - pos} trailing bytes after message")
     if not isinstance(payload, dict):
         raise CodecError("message payload is not a dict")
-    return message_type.from_payload(payload)
+    message = message_type.from_payload(payload)
+    if message_type in _CACHEABLE_TYPES and type(buf) is bytes:
+        if len(_decode_cache) >= _ENCODE_CACHE_MAX:
+            _decode_cache.clear()
+        _decode_cache[buf] = message
+    return message

@@ -1,6 +1,8 @@
 """Tests for the dataset stores."""
 
+import json
 import random
+import re
 
 import pytest
 
@@ -103,6 +105,27 @@ def test_handoff_store_save_load(tmp_path):
     assert len(loaded.idle()) == 1
 
 
+_D1_GOOD = json.loads(HandoffInstance(
+    kind="active", carrier="A", time_ms=1000, source_gci=1, target_gci=2,
+    source_channel=850, target_channel=850, intra_freq=True,
+).to_json())
+
+
+@pytest.mark.parametrize("line", [
+    pytest.param(json.dumps({k: v for k, v in _D1_GOOD.items() if k != "kind"}),
+                 id="missing-key"),
+    pytest.param(json.dumps({**_D1_GOOD, "extra": 1}), id="extra-key"),
+    pytest.param(json.dumps(list(_D1_GOOD.values())), id="array"),
+    pytest.param('{"kind": "active", "carrier"', id="not-json"),
+])
+def test_handoff_store_load_names_the_bad_line(tmp_path, line):
+    good = json.dumps(_D1_GOOD, separators=(",", ":"))
+    path = tmp_path / "d1.jsonl"
+    path.write_text(f"{good}\n\n{line}\n{good}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "):
+        HandoffInstanceStore.load(path)
+
+
 # -- atomic persistence -------------------------------------------------------
 
 @pytest.mark.parametrize("store_cls,record", [
@@ -135,12 +158,10 @@ def test_failed_save_preserves_existing_file(tmp_path):
     ConfigSampleStore([_sample()]).save(path)
     before = path.read_bytes()
 
-    class Exploding:
-        def to_json(self):
-            raise RuntimeError("boom")
-
-    with pytest.raises(RuntimeError):
-        ConfigSampleStore([Exploding()]).save(path)  # type: ignore[list-item]
+    # The second sample's value is not JSON: the writer fails mid-file,
+    # after the first line went to the temp file.
+    with pytest.raises(TypeError):
+        ConfigSampleStore([_sample(gci=2), _sample(value=object())]).save(path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["d2.jsonl"]
 

@@ -1,5 +1,7 @@
 """Tests for the symbolic handoff-graph verifier (HC201-HC204)."""
 
+import gc
+import inspect
 import json
 import warnings
 from pathlib import Path
@@ -378,6 +380,27 @@ def test_graph_analysis_builds_each_groups_edges_once(monkeypatch):
     groups = {(s.carrier, s.city) for s in snapshots if cell_policy(s) is not None}
     assert stats.components > len(groups)
     assert len(calls) == len(groups)
+
+
+def test_graph_pass_leaves_no_function_cycles_behind():
+    # A recursive closure sits in its own cell: the cycle keeps the walk's
+    # sets alive until the cyclic collector runs, which saves it here.
+    snapshots = _population("loop-fixture")
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        _, stats = GraphAnalyzer().analyze(snapshots)
+        gc.collect()
+        leaked = [
+            obj for obj in gc.garbage
+            if inspect.isfunction(obj) and obj.__module__ == graph_module.__name__
+        ]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert stats.cycles_checked > 0
+    assert leaked == []
 
 
 def test_world_digest_tracks_content_and_seed():

@@ -23,12 +23,14 @@ import sys
 import tempfile
 from dataclasses import asdict, fields
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from repro.cellnet.cell import CellId
-from repro.datasets.records import ConfigSample, HandoffInstance
+from repro.datasets import store as store_module
+from repro.datasets.records import ConfigSample, HandoffInstance, sample_fields
 from repro.datasets.store import ConfigSampleStore
 from repro.lint.findings import SEVERITIES, Finding
 from repro.simulate.runner import TickSample
@@ -153,14 +155,16 @@ _store_values = st.one_of(
 
 
 @st.composite
-def _stores(draw) -> list[ConfigSample]:
+def _stores(
+    draw, texts=_text, ints=_exact_ints, values=_store_values
+) -> list[ConfigSample]:
     """Samples whose fields repeat, drawn from small per-field pools."""
     def pool(values, size=4):
         return draw(st.lists(values, min_size=1, max_size=size))
 
-    categories = pool(_text, 3)
-    ints = pool(_exact_ints)
-    values = pool(_store_values, 6)
+    categories = pool(texts, 3)
+    ints = pool(ints)
+    values = pool(values, 6)
     days = pool(st.one_of(_scalar_lookalikes, _floats, _ints))
     pick = st.sampled_from
     return [
@@ -291,3 +295,166 @@ def test_malformed_store_lines_raise_value_error_naming_the_line(tmp_path, line)
     path.write_text(f"{good}\n\n{line}\n{good}\n", encoding="utf-8")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "):
         ConfigSampleStore.load(path)
+
+
+# -- the D2 store's fragment writer and reader -----------------------------------
+#
+# ``save`` builds each line from memoized head, mid and tail fragments and
+# ``load`` decodes each distinct fragment once; ``to_json`` and
+# ``sample_fields`` stay the definitions these properties hold them to.
+
+#: Texts that spell the loader's split markers; inside a JSON string the
+#: encoder escapes their quotes, so they must never split a line.
+_MARKER_TEXTS = [
+    ',"parameter":', ',"observed_day":', '","parameter":"x',
+    '\\",\\"observed_day\\":1,\\"round_index\\":0}',
+]
+_marker_texts = st.one_of(_text, st.sampled_from(_MARKER_TEXTS))
+#: Ints and their lookalikes: the writer must not reuse ``1``'s text for
+#: ``True`` or ``1.0``.
+_loose_ints = st.one_of(_exact_ints, st.sampled_from([True, False, 1, 1.0, 0, 0.0, -0.0]))
+#: Dict values, whose keys may spell a member of the line; ``observed_day``
+#: is left out, since a dict holding it ends the mid early and sends
+#: the line to ``sample_fields``.
+_dict_values = st.dictionaries(
+    st.one_of(_marker_texts, st.sampled_from(["parameter", "value", "round_index"])),
+    st.one_of(_store_scalars, st.lists(_store_scalars, max_size=2)),
+    max_size=3,
+)
+_marker_values = st.one_of(_store_values, _marker_texts, _dict_values)
+_awkward_stores = st.one_of(
+    _stores(texts=_marker_texts, ints=_loose_ints, values=_marker_values),
+    _stores(ints=_loose_ints, values=st.one_of(_store_values, st.dictionaries(
+        _text, _store_scalars, max_size=3))),
+)
+#: gci, channel and round_index each ``1``, ``True`` and ``1.0`` over
+#: otherwise equal samples, with NaN days and a dict value among them.
+_INT_LOOKALIKE_STORE = [
+    ConfigSample(
+        carrier="A", gci=gci, rat="LTE", channel=channel, city="X", parameter="p",
+        value=value, observed_day=day, round_index=round_index,
+    )
+    for value, day in ((4.0, 0.5), ({"a": 1}, math.nan), (math.nan, -0.0))
+    for gci, channel, round_index in (
+        (1, 1, 1), (True, 1, 1), (1.0, 1, 1), (1, True, 1), (1, 1.0, 1),
+        (1, 1, True), (1, 1, 1.0),
+    )
+]
+
+
+#: Markers spelled inside strings and as keys of a dict value: only the
+#: first structural marker of each kind splits these lines.
+_MARKER_STORE = [
+    ConfigSample(
+        carrier="A", gci=1, rat="LTE", channel=5, city=city, parameter="p",
+        value=value, observed_day=1.5, round_index=0,
+    )
+    for city in _MARKER_TEXTS
+    for value in ({"a": 1, "parameter": 2}, {"value": {"x": 1, "parameter": 3}}, city)
+]
+
+
+def _saved(samples: list[ConfigSample]) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d2.jsonl"
+        ConfigSampleStore(samples).save(path)
+        return path.read_bytes()
+
+
+@example(samples=_LOOKALIKE_STORE)
+@example(samples=_INT_LOOKALIKE_STORE)
+@example(samples=_MARKER_STORE)
+@given(samples=st.one_of(_stores(), _awkward_stores))
+def test_store_save_writes_each_samples_to_json_line(samples):
+    assert _saved(samples) == "".join(s.to_json() + "\n" for s in samples).encode()
+
+
+@example(samples=_LOOKALIKE_STORE)
+@example(samples=_MARKER_STORE)
+@given(samples=_stores(texts=_marker_texts, values=_marker_values))
+def test_canonical_lines_load_through_fragments(samples):
+    # Every line ``to_json`` writes splits at its first markers, so
+    # nothing reaches ``sample_fields``; and the load is exact.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d2.jsonl"
+        ConfigSampleStore(samples).save(path)
+        with mock.patch.object(store_module, "sample_fields", wraps=sample_fields) as calls:
+            loaded = ConfigSampleStore.load(path)
+    assert calls.call_count == 0
+    assert list(map(_canon_fields, loaded)) == list(map(_canon_fields, samples))
+
+
+_MUTATIONS = ("move", "duplicate", "escape", "constant")
+
+
+@st.composite
+def _mutated_line(draw) -> tuple[str, str]:
+    """A sample's line and a mutant of it.
+
+    Members are moved, duplicated (in the head, mid or tail, with the
+    same or another value), have their key spelled with an escape or
+    their value replaced by a ``NaN``/``Infinity`` token; then the line
+    may gain whitespace after a ``:`` or ``,`` and be truncated.
+    """
+    sample = draw(st.one_of(
+        _stores(texts=_marker_texts, values=_marker_values), _awkward_stores,
+    ))[0]
+    members = [
+        [json.dumps(f.name), json.dumps(getattr(sample, f.name), separators=(",", ":"))]
+        for f in fields(sample)
+    ]
+    original = "{" + ",".join(":".join(m) for m in members) + "}"
+    assert original == sample.to_json()
+    index = st.integers(min_value=0, max_value=len(members) - 1)
+    for mutation in draw(st.lists(st.sampled_from(_MUTATIONS), max_size=3)):
+        if mutation == "constant":
+            member = draw(st.sampled_from(
+                [m for m in members if m[0] in ('"value"', '"observed_day"')] or members
+            ))
+            member[1] = draw(st.sampled_from(["NaN", "Infinity", "-Infinity"]))
+            continue
+        member = members[draw(index)]
+        if mutation == "move":
+            members.remove(member)
+            members.insert(draw(index), member)
+        elif mutation == "duplicate":
+            twin = draw(st.one_of(st.just(member[1]), _scalars.map(json.dumps)))
+            members.insert(draw(index), [member[0], twin])
+        else:
+            member[0] = '"\\u%04x%s' % (ord(member[0][1]), member[0][2:])
+    line = "{" + ",".join(":".join(m) for m in members) + "}"
+    if draw(st.booleans()):
+        at = draw(st.sampled_from([at for at, char in enumerate(line) if char in ",:"])) + 1
+        line = line[:at] + draw(st.sampled_from([" ", "\t", "  "])) + line[at:]
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        line = line[: draw(st.integers(min_value=1, max_value=len(line) - 1))]
+    return original, line
+
+
+def _reference_fields(line: str) -> tuple[list | None, str | None]:
+    """``sample_fields`` on one line, or its error message."""
+    try:
+        return list(map(_canon, sample_fields(line.strip()))), None
+    except ValueError as error:
+        return None, str(error)
+
+
+@given(pair=_mutated_line())
+def test_mutated_lines_load_as_sample_fields_reads_them(pair):
+    original, mutant = pair
+    lines = [original, mutant, original, mutant]
+    references = [_reference_fields(line) for line in lines]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d2.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        errors = [(n, e) for n, (_, e) in enumerate(references, 1) if e is not None]
+        if errors:
+            lineno, error = errors[0]
+            with pytest.raises(ValueError) as raised:
+                ConfigSampleStore.load(path)
+            assert str(raised.value) == f"{path}:{lineno}: {error}"
+            return
+        loaded = ConfigSampleStore.load(path)
+    assert list(map(_canon_fields, loaded)) == [canon for canon, _ in references]
+    nans = [nan for s in loaded for nan in _nans(s.value) + _nans(s.observed_day)]
+    assert len(set(map(id, nans))) == len(nans)
