@@ -11,23 +11,10 @@ Each config class yields (name, value) samples whose names resolve in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.cellnet.rat import RAT
-from repro.config.parameters import spec_by_name
-
-
-def _samples_from_fields(config, skip: tuple[str, ...] = ()) -> list[tuple[str, object]]:
-    """Flatten a flat dataclass into (field name, value) samples."""
-    samples = []
-    for f in fields(config):
-        if f.name in skip:
-            continue
-        value = getattr(config, f.name)
-        if isinstance(value, tuple):
-            value = list(value)
-        samples.append((f.name, value))
-    return samples
+from repro.config.parameters import samples_from_fields, spec_by_name
 
 
 @dataclass(frozen=True)
@@ -109,7 +96,7 @@ class UmtsCellConfig:
     inter_rat_filter_coefficient: int = 3
 
     def parameter_samples(self) -> list[tuple[str, object]]:
-        return _samples_from_fields(self)
+        return samples_from_fields(self)
 
 
 @dataclass(frozen=True)
@@ -127,7 +114,7 @@ class GsmCellConfig:
     multiband_reporting: int = 1
 
     def parameter_samples(self) -> list[tuple[str, object]]:
-        return _samples_from_fields(self)
+        return samples_from_fields(self)
 
 
 @dataclass(frozen=True)
@@ -150,7 +137,7 @@ class EvdoCellConfig:
     route_update_radius: int = 0
 
     def parameter_samples(self) -> list[tuple[str, object]]:
-        return _samples_from_fields(self)
+        return samples_from_fields(self)
 
 
 @dataclass(frozen=True)
@@ -163,7 +150,7 @@ class Cdma1xCellConfig:
     t_tdrop: int = 2
 
     def parameter_samples(self) -> list[tuple[str, object]]:
-        return _samples_from_fields(self)
+        return samples_from_fields(self)
 
 
 #: Config class per legacy RAT, for generic code paths.

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.config.events import EventConfig, PeriodicConfig
-from repro.config.parameters import spec_by_name
+from repro.config.parameters import samples_from_fields, spec_by_name
 from repro.cellnet.rat import RAT
 
 
@@ -44,21 +44,9 @@ class ServingCellConfig:
     t_reselection_eutra: int = 1
 
     def parameter_samples(self) -> list[tuple[str, object]]:
-        """(name, value) pairs for every SIB3 parameter."""
-        return [
-            ("q_hyst", self.q_hyst),
-            ("s_intra_search_p", self.s_intra_search_p),
-            ("s_intra_search_q", self.s_intra_search_q),
-            ("s_non_intra_search_p", self.s_non_intra_search_p),
-            ("s_non_intra_search_q", self.s_non_intra_search_q),
-            ("thresh_serving_low_p", self.thresh_serving_low_p),
-            ("thresh_serving_low_q", self.thresh_serving_low_q),
-            ("cell_reselection_priority", self.cell_reselection_priority),
-            ("q_rx_lev_min", self.q_rx_lev_min),
-            ("q_qual_min", self.q_qual_min),
-            ("p_max", self.p_max),
-            ("t_reselection_eutra", self.t_reselection_eutra),
-        ]
+        """(name, value) pairs for every SIB3 parameter: the field names
+        are the registry names."""
+        return samples_from_fields(self)
 
 
 @dataclass(frozen=True)
@@ -225,18 +213,7 @@ class LteCellConfig:
         Every name resolves in the LTE registry; this invariant is
         enforced in tests and relied on by the dataset builders.
         """
-        samples = list(self.serving.parameter_samples())
-        samples.extend(self.intra_neighbors.parameter_samples())
-        for layer in self.inter_freq_layers:
-            samples.extend(layer.parameter_samples())
-        for layer in self.utra_layers:
-            samples.extend(layer.parameter_samples())
-        for layer in self.geran_layers:
-            samples.extend(layer.parameter_samples())
-        for layer in self.cdma_layers:
-            samples.extend(layer.parameter_samples())
-        samples.extend(self.measurement.parameter_samples())
-        return samples
+        return self.idle_parameter_samples() + self.measurement.parameter_samples()
 
     def validate(self) -> list[str]:
         """Domain-check every sample; returns violation descriptions."""

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from repro.cellnet.rat import RAT
 from repro.config import units
 from repro.config.units import Domain
+from repro.util import field_names
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,17 @@ class ParameterSpec:
     message: str
     domain: Domain
     paper_symbol: str = ""
+
+
+def samples_from_fields(config) -> list[tuple[str, object]]:
+    """A flat config dataclass as (field name, value) samples, in field
+    order: the configs whose field names are their registry names.
+    Tuple values become lists."""
+    samples: list[tuple[str, object]] = []
+    for name in field_names(type(config)):
+        value = getattr(config, name)
+        samples.append((name, list(value) if isinstance(value, tuple) else value))
+    return samples
 
 
 def _lte(name, category, used_for, message, domain, symbol=""):

@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields
-from typing import Any, NamedTuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -288,36 +288,29 @@ class CarrierStyle:
     priority_conflict_rate: float = 0.03
 
 
+def _restyled(
+    style: CarrierStyle, table: Callable[[dict], dict], **overrides: Any
+) -> CarrierStyle:
+    """``style`` with ``table`` applied to each of its {value: weight}
+    tables, then the named ``overrides``."""
+    tables: dict[str, Any] = {
+        f.name: table(getattr(style, f.name))
+        for f in fields(style)
+        if isinstance(getattr(style, f.name), dict)
+    }
+    return replace(style, **{**tables, **overrides})
+
+
 def _single_valued(style: CarrierStyle) -> CarrierStyle:
     """Collapse every table of ``style`` to its dominant value."""
 
     def dominant(table: dict) -> dict:
-        best = max(table, key=table.get)
-        return {best: 1.0}
+        return {max(table, key=table.get): 1.0}
 
-    return CarrierStyle(
-        event_policy={"A3": 1.0},
-        a3_offsets=dominant(style.a3_offsets),
-        a3_hysteresis=dominant(style.a3_hysteresis),
-        a5_rsrq_share=0.0,
-        a5_serving_rsrp=dominant(style.a5_serving_rsrp),
-        a5_candidate_rsrp=dominant(style.a5_candidate_rsrp),
-        a5_serving_rsrq=dominant(style.a5_serving_rsrq),
-        a5_candidate_rsrq=dominant(style.a5_candidate_rsrq),
-        time_to_trigger=dominant(style.time_to_trigger),
-        q_hyst=dominant(style.q_hyst),
-        q_rx_lev_min=dominant(style.q_rx_lev_min),
-        s_intra_search=dominant(style.s_intra_search),
-        s_non_intra_search=dominant(style.s_non_intra_search),
-        thresh_serving_low=dominant(style.thresh_serving_low),
-        thresh_x_high=dominant(style.thresh_x_high),
-        thresh_x_low=dominant(style.thresh_x_low),
-        q_offset_freq=dominant(style.q_offset_freq),
-        diversity="none",
-        spatial_mode="grid",
-        active_churn=0.0,
-        idle_churn_180d=0.0,
-        priority_conflict_rate=0.0,
+    return _restyled(
+        style, dominant, event_policy={"A3": 1.0}, a5_rsrq_share=0.0,
+        diversity="none", spatial_mode="grid", active_churn=0.0,
+        idle_churn_180d=0.0, priority_conflict_rate=0.0,
     )
 
 
@@ -325,32 +318,11 @@ def _reduced(style: CarrierStyle, keep: int = 3) -> CarrierStyle:
     """Trim every table of ``style`` to its ``keep`` heaviest values."""
 
     def trim(table: dict) -> dict:
-        top = sorted(table, key=table.get, reverse=True)[:keep]
-        return {v: table[v] for v in top}
+        return {v: table[v] for v in sorted(table, key=table.get, reverse=True)[:keep]}
 
-    return CarrierStyle(
-        event_policy=trim(style.event_policy),
-        a3_offsets=trim(style.a3_offsets),
-        a3_hysteresis=trim(style.a3_hysteresis),
-        a5_rsrq_share=style.a5_rsrq_share,
-        a5_serving_rsrp=trim(style.a5_serving_rsrp),
-        a5_candidate_rsrp=trim(style.a5_candidate_rsrp),
-        a5_serving_rsrq=trim(style.a5_serving_rsrq),
-        a5_candidate_rsrq=trim(style.a5_candidate_rsrq),
-        time_to_trigger=trim(style.time_to_trigger),
-        q_hyst=trim(style.q_hyst),
-        q_rx_lev_min=trim(style.q_rx_lev_min),
-        s_intra_search=trim(style.s_intra_search),
-        s_non_intra_search=trim(style.s_non_intra_search),
-        thresh_serving_low=trim(style.thresh_serving_low),
-        thresh_x_high=trim(style.thresh_x_high),
-        thresh_x_low=trim(style.thresh_x_low),
-        q_offset_freq=trim(style.q_offset_freq),
-        diversity="low",
-        spatial_mode="grid",
-        active_churn=0.05,
-        idle_churn_180d=0.004,
-        priority_conflict_rate=0.01,
+    return _restyled(
+        style, trim, diversity="low", spatial_mode="grid", active_churn=0.05,
+        idle_churn_180d=0.004, priority_conflict_rate=0.01,
     )
 
 
@@ -783,28 +755,12 @@ class CarrierProfile:
             alt_rng = _DoubleReader(
                 np.random.default_rng((self.seed, gci, changed_epoch + 11, 5))
             )
-            serving = ServingCellConfig(
-                **{
-                    **{f: getattr(base.serving, f) for f in (
-                        "q_hyst", "s_intra_search_p", "s_intra_search_q",
-                        "s_non_intra_search_p", "s_non_intra_search_q",
-                        "thresh_serving_low_q", "cell_reselection_priority",
-                        "q_rx_lev_min", "q_qual_min", "p_max",
-                        "t_reselection_eutra",
-                    )},
-                    "thresh_serving_low_p": float(_draw(alt_rng, self._tables["thresh_serving_low"])),
-                }
+            serving = replace(
+                serving,
+                thresh_serving_low_p=float(_draw(alt_rng, self._tables["thresh_serving_low"])),
             )
         measurement = self.observed_measurement(cell, base.measurement, obs_rng)
-        return LteCellConfig(
-            serving=serving,
-            intra_neighbors=base.intra_neighbors,
-            inter_freq_layers=base.inter_freq_layers,
-            utra_layers=base.utra_layers,
-            geran_layers=base.geran_layers,
-            cdma_layers=base.cdma_layers,
-            measurement=measurement,
-        )
+        return replace(base, serving=serving, measurement=measurement)
 
     # -- legacy RATs --------------------------------------------------------
 

@@ -15,7 +15,7 @@ closes the previous episode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.cellnet.rat import RAT
 from repro.config.legacy import LegacyCellConfig
@@ -147,15 +147,7 @@ class ConfigCrawler:
         ):
             lte = lte_config_from_sibs(snapshot._sibs)
             if snapshot.meas_config is not None:
-                lte = LteCellConfig(
-                    serving=lte.serving,
-                    intra_neighbors=lte.intra_neighbors,
-                    inter_freq_layers=lte.inter_freq_layers,
-                    utra_layers=lte.utra_layers,
-                    geran_layers=lte.geran_layers,
-                    cdma_layers=lte.cdma_layers,
-                    measurement=snapshot.meas_config,
-                )
+                lte = replace(lte, measurement=snapshot.meas_config)
             snapshot.lte_config = lte
         self._closed.append(snapshot)
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.config.events import EventConfig, EventType
-from repro.config.lte import LteCellConfig, MeasurementConfig
+from repro.config.lte import LteCellConfig
 from repro.lint.fixtures import StaticConfigServer, loop_fixture
 from repro.lint.snapshot import ConfigSnapshot
 
@@ -116,12 +116,7 @@ def _with_thresh_x_high(config: LteCellConfig, value: float) -> LteCellConfig:
 
 
 def _with_patch_profile(config: LteCellConfig) -> LteCellConfig:
-    measurement = MeasurementConfig(
-        events=(_PATCH_EVENT,),
-        periodic=config.measurement.periodic,
-        s_measure=config.measurement.s_measure,
-    )
-    return replace(config, measurement=measurement)
+    return replace(config, measurement=replace(config.measurement, events=(_PATCH_EVENT,)))
 
 
 def evolve_timeline(options: EvolveOptions = EvolveOptions()) -> SnapshotTimeline:

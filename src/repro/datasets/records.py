@@ -52,20 +52,10 @@ class ConfigSample:
     round_index: int = 0
 
     def to_json(self) -> str:
-        # A dict literal in field order: the same dict the generic
+        # The fields in field order: the same dict the generic
         # dataclass-to-dict conversion builds, without its deepcopy of
         # every value.
-        return _encode({
-            "carrier": self.carrier,
-            "gci": self.gci,
-            "rat": self.rat,
-            "channel": self.channel,
-            "city": self.city,
-            "parameter": self.parameter,
-            "value": self.value,
-            "observed_day": self.observed_day,
-            "round_index": self.round_index,
-        })
+        return _encode({name: getattr(self, name) for name in _SAMPLE_KEYS})
 
     @classmethod
     def from_json(cls, line: str) -> "ConfigSample":
@@ -179,38 +169,42 @@ class HandoffInstance:
         return self.rsrp_after - self.rsrp_before
 
     def to_json(self) -> str:
-        return _encode({
-            "kind": self.kind,
-            "carrier": self.carrier,
-            "time_ms": self.time_ms,
-            "source_gci": self.source_gci,
-            "target_gci": self.target_gci,
-            "source_channel": self.source_channel,
-            "target_channel": self.target_channel,
-            "intra_freq": self.intra_freq,
-            "decisive_event": self.decisive_event,
-            "decisive_metric": self.decisive_metric,
-            "decisive_config": self.decisive_config,
-            "priority_class": self.priority_class,
-            "rsrp_before": self.rsrp_before,
-            "rsrp_after": self.rsrp_after,
-            "rsrq_before": self.rsrq_before,
-            "rsrq_after": self.rsrq_after,
-            "min_throughput_before_bps": self.min_throughput_before_bps,
-            "report_to_handover_ms": self.report_to_handover_ms,
-        })
+        return _encode({name: getattr(self, name) for name in _INSTANCE_KEYS})
 
     @classmethod
     def from_json(cls, line: str) -> "HandoffInstance":
-        """Parse one JSONL line: an object of ``HandoffInstance``'s keys.
+        """Parse one JSONL line.
 
-        A line that is not JSON, not an object, or lacks a required key
-        or holds an unknown one raises ``ValueError``.
+        The line must be one JSON object with exactly
+        ``HandoffInstance``'s keys, in field order, each holding a type
+        ``to_json`` writes for its field (``_INSTANCE_TYPES``); anything
+        else raises ``ValueError``.
         """
-        data = json.loads(line)
-        if type(data) is not dict:
-            raise ValueError(f"expected an object, got {type(data).__name__}")
-        try:
-            return cls(**data)
-        except TypeError as error:
-            raise ValueError(str(error)) from error
+        data = _decode(line)
+        if type(data) is not dict or tuple(data) != _INSTANCE_KEYS:
+            got = list(data) if type(data) is dict else type(data).__name__
+            raise ValueError(f"expected an object with keys {list(_INSTANCE_KEYS)}, got {got}")
+        values = tuple(data.values())
+        for name, kinds, value in zip(_INSTANCE_KEYS, _INSTANCE_TYPES, values):
+            if type(value) not in kinds:
+                names = " or ".join(kind.__name__ for kind in kinds)
+                raise ValueError(f"{name} must be {names}, got {value!r}")
+        return cls(*values)
+
+
+#: ``HandoffInstance``'s keys in field order: the one key sequence a D1
+#: line may have.
+_INSTANCE_KEYS = tuple(f.name for f in fields(HandoffInstance))
+#: The exact JSON types (so a bool is no int) a line may hold for a field
+#: of each annotation: the types ``to_json`` writes for it.  A float field
+#: may hold an int, which it writes as one.
+_ANNOTATION_TYPES: dict[str, tuple[type, ...]] = {
+    "str": (str,),
+    "int": (int,),
+    "bool": (bool,),
+    "dict": (dict,),
+    "str | None": (str, type(None)),
+    "int | None": (int, type(None)),
+    "float | None": (int, float, type(None)),
+}
+_INSTANCE_TYPES = tuple(_ANNOTATION_TYPES[f.type] for f in fields(HandoffInstance))

@@ -10,8 +10,8 @@ grouping, not point lookup.  Four concessions to scale:
   per-parameter reads (``unique_values``, ``samples_per_cell``,
   ``parameters``) stop rescanning millions of rows on every call; every
   mutation drops all indexes, and each is rebuilt on demand.
-* ``save`` writes atomically (temp file + ``os.replace``) so a crashed
-  build never leaves a torn JSONL behind.
+* ``save`` writes atomically (``repro.util.atomic_write``: temp file +
+  ``os.replace``) so a crashed build never leaves a torn JSONL behind.
 * ``ConfigSampleStore.load`` shares equal field values: it interns the
   category strings and passes the other fields through one table per
   load, so millions of reloaded samples point at a few thousand value
@@ -27,9 +27,7 @@ grouping, not point lookup.  Four concessions to scale:
 
 from __future__ import annotations
 
-import os
 import sys
-import tempfile
 from collections import defaultdict
 from operator import attrgetter
 from pathlib import Path
@@ -43,32 +41,17 @@ from repro.datasets.records import (
     _tuples,
     sample_fields,
 )
+from repro.util import atomic_write
 
 
-def _atomic_write_jsonl(path: str | Path, lines: Iterable[str]) -> None:
-    """Write ``lines`` to ``path`` atomically, each ended by a newline.
-
-    The temp file lives in the target's directory so ``os.replace`` is
-    a same-filesystem rename: readers see either the old file or the
-    complete new one, never a partial write.
-    """
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            write = f.write
-            for line in lines:
-                write(line)
-                write("\n")
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+def _write_jsonl(path: str | Path, lines: Iterable[str]) -> None:
+    """Write ``lines`` to ``path`` atomically (``atomic_write``), each
+    ended by a newline."""
+    with atomic_write(path) as f:
+        write = f.write
+        for line in lines:
+            write(line)
+            write("\n")
 
 
 def _share_key(value: object) -> object:
@@ -275,7 +258,7 @@ class ConfigSampleStore:
         The bytes are ``sample.to_json()`` plus a newline per sample,
         built from memoized fragments (``_sample_lines``).
         """
-        _atomic_write_jsonl(path, _sample_lines(self._samples))
+        _write_jsonl(path, _sample_lines(self._samples))
 
     @classmethod
     def load(cls, path: str | Path) -> "ConfigSampleStore":
@@ -417,7 +400,7 @@ class HandoffInstanceStore:
 
     def save(self, path: str | Path) -> None:
         """Write the store as JSONL (atomically: temp file + rename)."""
-        _atomic_write_jsonl(path, (i.to_json() for i in self._instances))
+        _write_jsonl(path, (i.to_json() for i in self._instances))
 
     @classmethod
     def load(cls, path: str | Path) -> "HandoffInstanceStore":

@@ -14,43 +14,28 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config.events import EventConfig, EventType
-from repro.config.lte import MeasurementConfig
 from repro.experiments.common import ExperimentResult, default_scenario
-from repro.rrc.broadcast import ConfigServer
-from repro.rrc.messages import RrcConnectionReconfiguration
+from repro.experiments.controlled import FixedEventConfigServer
 from repro.simulate.runner import DriveResult, DriveSimulator
 from repro.simulate.traffic import Speedtest
 
 
-class FixedA3ConfigServer(ConfigServer):
-    """A config server that pins every measConfig to one A3 offset."""
-
-    def __init__(self, env, offset_db: float, seed: int = 2018,
-                 time_to_trigger_ms: int = 320):
-        super().__init__(env, seed=seed)
-        self.offset_db = offset_db
-        self.time_to_trigger_ms = time_to_trigger_ms
-
-    def connection_reconfiguration(self, cell, obs_rng=None):
-        meas = MeasurementConfig(
-            events=(
-                EventConfig(
-                    event=EventType.A3,
-                    metric="rsrp",
-                    offset=self.offset_db,
-                    hysteresis=1.0,
-                    time_to_trigger_ms=self.time_to_trigger_ms,
-                ),
-            ),
-            periodic=None,
-            s_measure=-44.0,  # gate disabled: always measure neighbors
-        )
-        return RrcConnectionReconfiguration(meas_config=meas)
+def a3_event(offset_db: float, time_to_trigger_ms: int = 320) -> EventConfig:
+    """The one A3 event Fig. 7 pins every measConfig to (with
+    :class:`FixedEventConfigServer`'s default s-Measure of -44 dBm, the
+    gate is disabled: neighbors are always measured)."""
+    return EventConfig(
+        event=EventType.A3,
+        metric="rsrp",
+        offset=offset_db,
+        hysteresis=1.0,
+        time_to_trigger_ms=time_to_trigger_ms,
+    )
 
 
 def _drive_with_offset(offset_db: float, carrier: str = "T", seed: int = 7) -> DriveResult:
     scenario = default_scenario()
-    server = FixedA3ConfigServer(scenario.env, offset_db, seed=2018)
+    server = FixedEventConfigServer(scenario.env, (a3_event(offset_db),), seed=2018)
     sim = DriveSimulator(scenario.env, server, carrier, seed=seed)
     trajectory = scenario.urban_trajectory(
         np.random.default_rng((seed, 0xF7)), duration_s=420.0, speed_kmh=45.0

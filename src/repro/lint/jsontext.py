@@ -23,21 +23,20 @@ structure exhausts the recursion limit (``RecursionError``) where the
 stdlib raises ``ValueError("Circular reference detected")``.  Every
 caller renders a freshly built tree.
 
-:func:`write_json` saves such text atomically (temp file in the target
-directory + ``os.replace``), so a crash mid-save leaves the previous
-file as it was, and writes it item by item, so a save's memory does not
-grow with the file.
+:func:`write_json` saves such text atomically
+(:func:`repro.util.atomic_write`), so a crash mid-save leaves the
+previous file as it was, and writes it item by item, so a save's memory
+does not grow with the file.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import stat
-import tempfile
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any, TextIO
+
+from repro.util import atomic_write
 
 _STEP = "  "
 _isfinite = math.isfinite
@@ -58,33 +57,15 @@ def dumps_indented(obj: object) -> str:
 
 
 def write_json(path: str | Path, obj: object) -> None:
-    """Write ``dumps_indented(obj)`` plus a newline to ``path`` atomically.
+    """Write ``dumps_indented(obj)`` plus a newline to ``path`` atomically
+    (``atomic_write``).
 
-    The temp file lives in the target's directory so ``os.replace`` is a
-    same-filesystem rename: readers see the old file or the complete new
-    one, never a torn write.  An existing target keeps its permission
-    bits.  The text goes out item by item (``_write_items``), so a save
-    holds one item's text at a time, not the whole file's.
+    The text goes out item by item (``_write_items``), so a save holds
+    one item's text at a time, not the whole file's.
     """
-    target = Path(path)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=target.parent, prefix=f".{target.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            _write_items(f, obj, "\n", "", _SAVE_DEPTH)
-            f.write("\n")
-        try:
-            os.chmod(tmp_name, stat.S_IMODE(os.stat(target).st_mode))
-        except FileNotFoundError:
-            pass
-        os.replace(tmp_name, target)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    with atomic_write(path) as f:
+        _write_items(f, obj, "\n", "", _SAVE_DEPTH)
+        f.write("\n")
 
 
 def _write_items(f: TextIO, obj: object, nl: str, head: str, depth: int) -> None:

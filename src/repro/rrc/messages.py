@@ -12,7 +12,7 @@ the legacy RATs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from repro.cellnet.cell import CellId
 from repro.cellnet.rat import RAT
@@ -27,41 +27,53 @@ from repro.config.lte import (
     MeasurementConfig,
     ServingCellConfig,
 )
-
-
-#: Field names, in order, of every config class a payload flattens.
-_FIELD_NAMES: dict[type, tuple[str, ...]] = {
-    cls: tuple(f.name for f in fields(cls))
-    for cls in (
-        ServingCellConfig, IntraFreqNeighborConfig, InterFreqLayerConfig,
-        InterRatUtraConfig, InterRatGeranConfig, InterRatCdmaConfig,
-        EventConfig, PeriodicConfig,
-    )
-}
+from repro.util import field_names
 
 
 def _fields_dict(config) -> dict:
-    """A config dataclass's fields as a dict, in field order.
+    """A dataclass's fields as a dict, in field order.
 
-    The walk is shallow: these configs hold only scalars, enums and
-    tuples of ints, so this equals the generic dataclass-to-dict
-    conversion, containers included, without its deepcopy of every
-    value.
+    The walk is shallow: messages and the configs they carry hold only
+    scalars, enums, tuples of ints and (legacy system information) a
+    dict of scalars and lists, so this equals the generic
+    dataclass-to-dict conversion, containers included, without its
+    deepcopy of every value.
     """
-    return {name: getattr(config, name) for name in _FIELD_NAMES[type(config)]}
+    return {name: getattr(config, name) for name in field_names(type(config))}
 
 
 class Message:
-    """Base class: every message has a TYPE_CODE and payload codecs."""
+    """Base class: every message has a TYPE_CODE and payload codecs.
+
+    The default codecs fit a flat message (every field a scalar or a
+    plain container): the payload is its fields in field order, and
+    ``from_payload`` passes them back to the constructor.  Messages that
+    wrap configs or transform a field override both.
+    """
 
     TYPE_CODE: int = 0x00
 
     def to_payload(self) -> dict:
-        raise NotImplementedError
+        return _fields_dict(self)
 
     @classmethod
     def from_payload(cls, payload: dict) -> "Message":
-        raise NotImplementedError
+        return cls(**payload)
+
+
+class _LayerList(Message):
+    """A SIB whose one field, ``layers``, is a tuple of flat layer configs
+    of class ``LAYER``."""
+
+    LAYER: type
+    layers: tuple
+
+    def to_payload(self) -> dict:
+        return {"layers": [_fields_dict(layer) for layer in self.layers]}
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "Message":
+        return cls(layers=tuple(cls.LAYER(**d) for d in payload["layers"]))
 
 
 @dataclass(frozen=True)
@@ -85,24 +97,6 @@ class Sib1(Message):
     @property
     def cell_id(self) -> CellId:
         return CellId(self.carrier, self.gci)
-
-    def to_payload(self) -> dict:
-        # Flat scalar fields: a literal dict in field order produces the
-        # same payload as the generic dataclass-to-dict conversion
-        # without its deepcopy pass.
-        return {
-            "carrier": self.carrier,
-            "gci": self.gci,
-            "pci": self.pci,
-            "channel": self.channel,
-            "rat": self.rat,
-            "q_rx_lev_min": self.q_rx_lev_min,
-            "city": self.city,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Sib1":
-        return cls(**payload)
 
 
 @dataclass(frozen=True)
@@ -142,35 +136,23 @@ class Sib4(Message):
 
 
 @dataclass(frozen=True)
-class Sib5(Message):
+class Sib5(_LayerList):
     """SIB5: inter-frequency carrier layers."""
 
     TYPE_CODE = 0x05
+    LAYER = InterFreqLayerConfig
 
     layers: tuple[InterFreqLayerConfig, ...] = ()
 
-    def to_payload(self) -> dict:
-        return {"layers": [_fields_dict(layer) for layer in self.layers]}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Sib5":
-        return cls(layers=tuple(InterFreqLayerConfig(**d) for d in payload["layers"]))
-
 
 @dataclass(frozen=True)
-class Sib6(Message):
+class Sib6(_LayerList):
     """SIB6: inter-RAT UTRA layers."""
 
     TYPE_CODE = 0x06
+    LAYER = InterRatUtraConfig
 
     layers: tuple[InterRatUtraConfig, ...] = ()
-
-    def to_payload(self) -> dict:
-        return {"layers": [_fields_dict(layer) for layer in self.layers]}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Sib6":
-        return cls(layers=tuple(InterRatUtraConfig(**d) for d in payload["layers"]))
 
 
 @dataclass(frozen=True)
@@ -200,19 +182,13 @@ class Sib7(Message):
 
 
 @dataclass(frozen=True)
-class Sib8(Message):
+class Sib8(_LayerList):
     """SIB8: inter-RAT CDMA2000 band classes."""
 
     TYPE_CODE = 0x08
+    LAYER = InterRatCdmaConfig
 
     layers: tuple[InterRatCdmaConfig, ...] = ()
-
-    def to_payload(self) -> dict:
-        return {"layers": [_fields_dict(layer) for layer in self.layers]}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Sib8":
-        return cls(layers=tuple(InterRatCdmaConfig(**d) for d in payload["layers"]))
 
 
 def _event_to_payload(event: EventConfig) -> dict:
@@ -242,19 +218,6 @@ class MobilityControlInfo(Message):
     @property
     def target_cell_id(self) -> CellId:
         return CellId(self.target_carrier, self.target_gci)
-
-    def to_payload(self) -> dict:
-        return {
-            "target_carrier": self.target_carrier,
-            "target_gci": self.target_gci,
-            "target_channel": self.target_channel,
-            "target_pci": self.target_pci,
-            "target_rat": self.target_rat,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "MobilityControlInfo":
-        return cls(**payload)
 
 
 @dataclass(frozen=True)
@@ -317,21 +280,6 @@ class MeasResult(Message):
     @property
     def cell_id(self) -> CellId:
         return CellId(self.carrier, self.gci)
-
-    def to_payload(self) -> dict:
-        return {
-            "carrier": self.carrier,
-            "gci": self.gci,
-            "pci": self.pci,
-            "channel": self.channel,
-            "rat": self.rat,
-            "rsrp_dbm": self.rsrp_dbm,
-            "rsrq_db": self.rsrq_db,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "MeasResult":
-        return cls(**payload)
 
 
 @dataclass(frozen=True)
@@ -405,20 +353,6 @@ class LegacySystemInfo(Message):
     def cell_id(self) -> CellId:
         return CellId(self.carrier, self.gci)
 
-    def to_payload(self) -> dict:
-        return {
-            "carrier": self.carrier,
-            "gci": self.gci,
-            "channel": self.channel,
-            "rat": self.rat,
-            "city": self.city,
-            "fields": dict(self.fields),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "LegacySystemInfo":
-        return cls(**payload)
-
 
 @dataclass(frozen=True)
 class PhyServingMeas(Message):
@@ -444,22 +378,6 @@ class PhyServingMeas(Message):
     @property
     def cell_id(self) -> CellId:
         return CellId(self.carrier, self.gci)
-
-    def to_payload(self) -> dict:
-        return {
-            "carrier": self.carrier,
-            "gci": self.gci,
-            "channel": self.channel,
-            "rat": self.rat,
-            "rsrp_dbm": self.rsrp_dbm,
-            "rsrq_db": self.rsrq_db,
-            "sinr_db": self.sinr_db,
-            "rrc_connected": self.rrc_connected,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "PhyServingMeas":
-        return cls(**payload)
 
 
 #: Registry used by the codec: type code -> message class.

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.experiments.controlled import FixedEventConfigServer
 from repro.experiments.fig07_throughput_timeline import (
-    FixedA3ConfigServer,
+    a3_event,
     min_throughput_before,
     timeline_around_first_handoff,
 )
@@ -15,7 +16,7 @@ from repro.cellnet.cell import CellId
 
 
 def test_fixed_a3_server_overrides_offset(scenario, lte_cell):
-    server = FixedA3ConfigServer(scenario.env, offset_db=12.0)
+    server = FixedEventConfigServer(scenario.env, (a3_event(12.0),))
     meas = server.connection_reconfiguration(lte_cell).meas_config
     assert len(meas.events) == 1
     assert meas.events[0].offset == 12.0
@@ -64,7 +65,7 @@ def test_larger_offset_defers_handoff(scenario):
     trajectory = scenario.urban_trajectory(np.random.default_rng(5), duration_s=300.0)
     counts = {}
     for offset in (3.0, 12.0):
-        server = FixedA3ConfigServer(scenario.env, offset_db=offset)
+        server = FixedEventConfigServer(scenario.env, (a3_event(offset),))
         sim = DriveSimulator(scenario.env, server, "A", seed=9)
         result = sim.run(trajectory, Speedtest(), run_index=int(offset))
         counts[offset] = len([h for h in result.handoffs if h.kind == "active"])

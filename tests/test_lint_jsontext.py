@@ -25,7 +25,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.datasets.d2 import d2_world
 from repro.datasets.evolve import EvolveOptions, evolve_timeline
-from repro.lint import Baseline, ConfigSnapshot, diff_lint, jsontext
+from repro.lint import Baseline, ConfigSnapshot, diff_lint
 from repro.lint import baseline as baseline_module
 from repro.lint import report as report_module
 from repro.lint import snapshot as snapshot_module
@@ -270,7 +270,7 @@ def _fail_halfway(monkeypatch):
             raise OSError(errno.ENOSPC, "No space left on device")
 
     monkeypatch.setattr(
-        jsontext.os, "fdopen", lambda *a, **k: HalfWriter(real_fdopen(*a, **k))
+        os, "fdopen", lambda *a, **k: HalfWriter(real_fdopen(*a, **k))
     )
 
 

@@ -1,8 +1,7 @@
 """Property tests of the dataset records and the D2 store's loader.
 
 ``ConfigSample.to_json``, ``HandoffInstance.to_json`` and
-``Finding.to_dict`` build their dicts field by field instead of through
-``dataclasses.asdict``.  These properties pin them to the generic
+``Finding.to_dict`` build their dicts without ``dataclasses.asdict``.  These properties pin them to the generic
 conversion over awkward values: huge and negative ints, bools, NaN and
 infinities, -0.0, escapes, non-ASCII text, nested lists and tuples, and
 dicts.  Key order is part of the check.
@@ -12,6 +11,10 @@ and accepts only the lines ``to_json`` writes.  Its properties: a
 reloaded store equals the saved one field by field, exact types
 included, re-saves byte for byte, and shares every equal non-NaN value
 but never a NaN; malformed lines raise ``ValueError`` naming the line.
+
+``HandoffInstanceStore.load`` is as strict: a D1 line must hold exactly
+``HandoffInstance``'s keys, in field order, each with a type ``to_json``
+writes for it.
 """
 
 import json
@@ -31,7 +34,7 @@ from hypothesis import example, given, strategies as st
 from repro.cellnet.cell import CellId
 from repro.datasets import store as store_module
 from repro.datasets.records import ConfigSample, HandoffInstance, sample_fields
-from repro.datasets.store import ConfigSampleStore
+from repro.datasets.store import ConfigSampleStore, HandoffInstanceStore
 from repro.lint.findings import SEVERITIES, Finding
 from repro.simulate.runner import TickSample
 
@@ -458,3 +461,106 @@ def test_mutated_lines_load_as_sample_fields_reads_them(pair):
     assert list(map(_canon_fields, loaded)) == [canon for canon, _ in references]
     nans = [nan for s in loaded for nan in _nans(s.value) + _nans(s.observed_day)]
     assert len(set(map(id, nans))) == len(nans)
+
+
+# -- the D1 line format ------------------------------------------------------------
+
+_NONE = type(None)
+#: The JSON types ``HandoffInstance.to_json`` writes for each field, in
+#: field order: the only types a D1 line may hold.
+_D1_TYPES = {
+    "kind": (str,), "carrier": (str,), "time_ms": (int,),
+    "source_gci": (int,), "target_gci": (int,),
+    "source_channel": (int,), "target_channel": (int,),
+    "intra_freq": (bool,),
+    "decisive_event": (str, _NONE), "decisive_metric": (str, _NONE),
+    "decisive_config": (dict,), "priority_class": (str, _NONE),
+    "rsrp_before": (int, float, _NONE), "rsrp_after": (int, float, _NONE),
+    "rsrq_before": (int, float, _NONE), "rsrq_after": (int, float, _NONE),
+    "min_throughput_before_bps": (int, float, _NONE),
+    "report_to_handover_ms": (int, _NONE),
+}
+#: Values of every JSON type, by exact type.
+_JSON_VALUES = {
+    str: _text, int: _exact_ints, float: _floats, bool: st.booleans(),
+    _NONE: st.none(), dict: st.dictionaries(_text, _store_scalars, max_size=3),
+    list: st.lists(_store_scalars, max_size=3),
+}
+#: Instances holding every type each field may hold.
+_d1_instances = st.builds(HandoffInstance, **{
+    name: st.one_of(*(_JSON_VALUES[kind] for kind in kinds))
+    for name, kinds in _D1_TYPES.items()
+})
+
+
+def _d1_line(members) -> str:
+    return json.dumps(dict(members), separators=(",", ":"))
+
+
+@st.composite
+def _mutated_d1_line(draw) -> tuple[HandoffInstance, str]:
+    """An instance and its line with one key dropped, added or moved, or
+    one value replaced by one of a type the field never holds."""
+    instance = draw(_d1_instances)
+    members = [[name, getattr(instance, name)] for name in _D1_TYPES]
+    index = st.integers(min_value=0, max_value=len(members) - 1)
+    mutation = draw(st.sampled_from(["missing", "extra", "move", "type"]))
+    if mutation == "missing":
+        del members[draw(index)]
+    elif mutation == "extra":
+        key = draw(_text.filter(lambda key: key not in _D1_TYPES))
+        members.insert(draw(index), [key, draw(_store_scalars)])
+    elif mutation == "move":
+        at = draw(index)
+        members.insert(draw(index.filter(lambda to: to != at)), members.pop(at))
+    else:
+        member = members[draw(index)]
+        member[1] = draw(st.one_of(*(
+            values for kind, values in _JSON_VALUES.items()
+            if kind not in _D1_TYPES[member[0]]
+        )))
+    return instance, _d1_line(members)
+
+
+def _load_d1(text: str, path: Path) -> HandoffInstanceStore:
+    path.write_text(text, encoding="utf-8")
+    return HandoffInstanceStore.load(path)
+
+
+@given(pair=_mutated_d1_line())
+def test_d1_loads_exactly_the_lines_to_json_writes(pair):
+    instance, mutant = pair
+    good = instance.to_json()
+    assert _canon_fields(HandoffInstance.from_json(good)) == _canon_fields(instance)
+    with pytest.raises(ValueError):
+        HandoffInstance.from_json(mutant)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d1.jsonl"
+        loaded = _load_d1(f"{good}\n", path)
+        assert list(map(_canon_fields, loaded)) == [_canon_fields(instance)]
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
+            _load_d1(f"{good}\n{mutant}\n", path)
+
+
+_D1_GOOD = json.loads(HandoffInstance(
+    kind="active", carrier="A", time_ms=1000, source_gci=1, target_gci=2,
+    source_channel=850, target_channel=850, intra_freq=True,
+    rsrp_before=-101.5, rsrp_after=-97,
+).to_json())
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        pytest.param(_d1_line((k, v) for k, v in _D1_GOOD.items() if k != "rsrp_before"),
+                     id="missing-default-key"),
+        pytest.param(_d1_line({**_D1_GOOD, "time_ms": "x"}.items()), id="time-string"),
+        pytest.param(_d1_line({**_D1_GOOD, "intra_freq": 1}.items()), id="intra-freq-int"),
+        pytest.param(_d1_line(reversed(_D1_GOOD.items())), id="reversed-keys"),
+    ],
+)
+def test_malformed_d1_lines_raise_value_error_naming_the_line(tmp_path, line):
+    good = _d1_line(_D1_GOOD.items())
+    assert HandoffInstance.from_json(good).to_json() == good
+    with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'd1.jsonl'))}:3: "):
+        _load_d1(f"{good}\n\n{line}\n", tmp_path / "d1.jsonl")
