@@ -146,8 +146,8 @@ class RadioEnvironment:
         #: periodically re-preparing every neighborhood.
         self.snapshot_cache_size = 4096
         self._snapshot_cache: OrderedDict = OrderedDict()
-        #: Prepared-cache hit/miss counters; surfaced in ``REPRO_PROFILE=1``
-        #: stage timings and by fleet aggregates.
+        #: Prepared-cache hit/miss counters; surfaced by fleet results
+        #: (``FleetResult.snapshot_cache``).
         self.snapshot_cache_hits = 0
         self.snapshot_cache_misses = 0
 

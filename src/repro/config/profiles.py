@@ -328,8 +328,11 @@ def _reduced(style: CarrierStyle, keep: int = 3) -> CarrierStyle:
 
 _BASE_STYLE = CarrierStyle()
 
-#: Carrier-specific styles.  Unlisted carriers get a generic high-
-#: diversity style derived from their acronym hash (still deterministic).
+#: The style every carrier missing from :data:`CARRIER_STYLES` shares:
+#: the base tables trimmed to their four heaviest values.
+_GENERIC_STYLE = _reduced(_BASE_STYLE, keep=4)
+
+#: Carrier-specific styles.  Unlisted carriers get :data:`_GENERIC_STYLE`.
 CARRIER_STYLES: dict[str, CarrierStyle] = {
     # AT&T: the paper's reference carrier.  Delta_A3 in [0, 5] dominated
     # by 3 dB; A5 split between RSRP and RSRQ with the permissive
@@ -378,10 +381,26 @@ CARRIER_STYLES: dict[str, CarrierStyle] = {
 
 
 def _style_for(acronym: str) -> CarrierStyle:
-    if acronym in CARRIER_STYLES:
-        return CARRIER_STYLES[acronym]
-    # Deterministic generic style: medium diversity.
-    return _reduced(_BASE_STYLE, keep=4)
+    return CARRIER_STYLES.get(acronym, _GENERIC_STYLE)
+
+
+#: Every {value: weight} table of each style, built on first use: keyed
+#: by the listed acronym, or by None for the generic style.
+_STYLE_TABLES: dict[str | None, dict[str, DrawTable]] = {}
+
+
+def _style_tables(acronym: str) -> dict[str, DrawTable]:
+    """The built tables of ``acronym``'s style, shared by its profiles."""
+    key = acronym if acronym in CARRIER_STYLES else None
+    tables = _STYLE_TABLES.get(key)
+    if tables is None:
+        style = _style_for(acronym)
+        tables = _STYLE_TABLES[key] = {
+            f.name: _table(getattr(style, f.name))
+            for f in fields(CarrierStyle)
+            if isinstance(getattr(style, f.name), dict)
+        }
+    return tables
 
 
 class CarrierProfile:
@@ -397,12 +416,7 @@ class CarrierProfile:
         self.acronym = acronym
         self.seed = seed
         self.style = _style_for(acronym)
-        #: Every {value: weight} table of the style, built once.
-        self._tables: dict[str, DrawTable] = {
-            f.name: _table(getattr(self.style, f.name))
-            for f in fields(CarrierStyle)
-            if isinstance(getattr(self.style, f.name), dict)
-        }
+        self._tables = _style_tables(acronym)
         self._carrier_key = stable_hash(acronym) & 0xFFFF
         # Seed-pure memos of priority_for_channel (cell mode: per-channel
         # base priority and city sensitivity; grid mode: per-city value).

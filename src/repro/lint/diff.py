@@ -508,7 +508,6 @@ def diff_lint(
     codes: list[str] | None = None,
     baseline: Baseline | None = None,
     workers: int | None = None,
-    graph_analyzer: GraphAnalyzer | None = None,
 ) -> DriftReport:
     """Differentially audit two captures; report what changed *and broke*.
 
@@ -525,7 +524,7 @@ def diff_lint(
     rules = select_rules(codes)
     static_rules = tuple(r for r in rules if r.scope != "drift")
     drifts = tuple(r for r in rules if r.scope == "drift")
-    analyzer = graph_analyzer if graph_analyzer is not None else GraphAnalyzer()
+    analyzer = GraphAnalyzer()
     old_report = lint_snapshots(
         list(old.cells), rules=static_rules, graph=True,
         workers=workers, graph_analyzer=analyzer,

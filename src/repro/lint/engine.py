@@ -28,7 +28,6 @@ finding.
 from __future__ import annotations
 
 import hashlib
-import os
 import warnings
 import weakref
 from dataclasses import dataclass, field
@@ -107,7 +106,6 @@ def lint_snapshots(
     coverage: bool = False,
     workers: int | None = None,
     graph_analyzer: GraphAnalyzer | None = None,
-    coverage_analyzer: CoverageAnalyzer | None = None,
 ) -> LintReport:
     """Run (all or selected) rules over a list of snapshots.
 
@@ -124,8 +122,6 @@ def lint_snapshots(
             (None/1 = serial).
         graph_analyzer: Analyzer instance to reuse for incremental
             per-component caching (default: a fresh one per call).
-        coverage_analyzer: Analyzer instance to reuse for incremental
-            per-cell caching (default: a fresh one per call).
     """
     if rules is None:
         rules = select_rules(codes)
@@ -160,12 +156,7 @@ def lint_snapshots(
     coverage_stats: CoverageStats | None = None
     witnesses: dict[str, CoverageWitness] = {}
     if run_coverage:
-        cov = (
-            coverage_analyzer
-            if coverage_analyzer is not None
-            else CoverageAnalyzer()
-        )
-        coverage_findings, coverage_stats, witnesses = cov.analyze(
+        coverage_findings, coverage_stats, witnesses = CoverageAnalyzer().analyze(
             snapshots, codes=coverage_codes, workers=workers, digests=digests
         )
         findings.extend(coverage_findings)
@@ -260,8 +251,6 @@ def lint_world(
     graph: bool = False,
     coverage: bool = False,
     workers: int | None = None,
-    graph_analyzer: GraphAnalyzer | None = None,
-    coverage_analyzer: CoverageAnalyzer | None = None,
 ) -> LintReport:
     """Audit a whole deployed world (or fleet subset) in one pass."""
     snapshots = world_snapshots(
@@ -274,16 +263,13 @@ def lint_world(
         graph=graph,
         coverage=coverage,
         workers=workers,
-        graph_analyzer=graph_analyzer,
-        coverage_analyzer=coverage_analyzer,
     )
 
 
-#: Preflight audits cached per config server: {(carrier, graph flag):
-#: report}.  This layer exists for warn-once semantics — the warning
-#: fires once per (server, carrier, graph flag), and repeated calls
-#: return the identical object.
-_PREFLIGHT_CACHE: "weakref.WeakKeyDictionary[ConfigServer, dict[tuple[str, bool], LintReport]]" = (
+#: Preflight audits cached per config server: {carrier: report}.  This
+#: layer exists for warn-once semantics — the warning fires once per
+#: (server, carrier), and repeated calls return the identical object.
+_PREFLIGHT_CACHE: "weakref.WeakKeyDictionary[ConfigServer, dict[str, LintReport]]" = (
     weakref.WeakKeyDictionary()
 )
 
@@ -295,12 +281,12 @@ _WORLD_DIGESTS: "weakref.WeakKeyDictionary[RadioEnvironment, str]" = (
 
 #: Preflight reports memoized per world *content* digest: fresh servers
 #: over the same deployment and seed reuse the finished audit instead of
-#: re-running it, which is what keeps graph-enabled preflights free for
-#: fleets of drives.  Keys are (world digest, config seed, carrier,
-#: graph flag); the dict is bounded below.  The key covers only what
+#: re-running it, which is what keeps preflights free for fleets of
+#: drives.  Keys are (world digest, config seed, carrier); the dict is
+#: bounded below.  The key covers only what
 #: :meth:`ConfigServer.lte_config` reads, so servers that override it
 #: never use this memo.
-_PREFLIGHT_REPORTS: dict[tuple[str, int, str, bool], LintReport] = {}
+_PREFLIGHT_REPORTS: dict[tuple[str, int, str], LintReport] = {}
 
 #: Bound on the digest-keyed memo; preflights touch a handful of worlds
 #: per process, so eviction is a safety valve, not a steady state.
@@ -309,10 +295,6 @@ _PREFLIGHT_REPORTS_LIMIT = 64
 #: Cell cap for preflight audits: enough for a representative verdict,
 #: cheap enough to run in front of every first drive.
 PREFLIGHT_MAX_CELLS = 200
-
-#: Shared analyzer for preflight graph passes: its per-component cache
-#: makes repeated preflights over overlapping worlds incremental.
-_PREFLIGHT_GRAPH_ANALYZER = GraphAnalyzer()
 
 
 def world_digest(env: RadioEnvironment, config_seed: int) -> str:
@@ -340,32 +322,25 @@ def warn_before_run(
     env: RadioEnvironment,
     server: ConfigServer,
     carrier: str,
-    graph: bool | None = None,
 ) -> LintReport:
     """Simulation preflight: audit ``carrier`` once and warn on findings.
 
-    The finished report is memoized per world content-digest, so fleets
-    of drives — even ones constructing a fresh :class:`ConfigServer`
-    per drive — pay for the audit exactly once per deployment, and
-    enabling graph rules adds no per-run latency.  A server whose class
-    overrides :meth:`~ConfigServer.lte_config` broadcasts configurations
-    the digest cannot see, so its audit is cached for that server only.
-    The warning itself is emitted once per (server, carrier, graph).
-
-    Args:
-        graph: Include the handoff-graph verifier in the preflight.
-            Default: the ``REPRO_LINT_GRAPH`` environment variable
-            (off unless set to a non-empty value other than "0").
+    The audit runs the cell and network rules; ``repro lint --graph`` is
+    the handoff-graph audit.  The finished report is memoized per world
+    content-digest, so fleets of drives — even ones constructing a fresh
+    :class:`ConfigServer` per drive — pay for the audit exactly once per
+    deployment.  A server whose class overrides
+    :meth:`~ConfigServer.lte_config` broadcasts configurations the
+    digest cannot see, so its audit is cached for that server only.
+    The warning itself is emitted once per (server, carrier).
     """
-    if graph is None:
-        graph = os.environ.get("REPRO_LINT_GRAPH", "0") not in ("", "0")
     per_server = _PREFLIGHT_CACHE.setdefault(server, {})
-    cached = per_server.get((carrier, graph))
+    cached = per_server.get(carrier)
     if cached is not None:
         return cached
     # The audit reads only ``server.lte_config`` and ``server.seed``.
     profiled = type(server).lte_config is ConfigServer.lte_config
-    memo_key = (world_digest(env, server.seed), server.seed, carrier, graph)
+    memo_key = (world_digest(env, server.seed), server.seed, carrier)
     report = _PREFLIGHT_REPORTS.get(memo_key) if profiled else None
     if report is None:
         report = lint_world(
@@ -373,14 +348,12 @@ def warn_before_run(
             server,
             carriers=(carrier,),
             max_cells_per_carrier=PREFLIGHT_MAX_CELLS,
-            graph=graph,
-            graph_analyzer=_PREFLIGHT_GRAPH_ANALYZER,
         )
         if profiled:
             if len(_PREFLIGHT_REPORTS) >= _PREFLIGHT_REPORTS_LIMIT:
                 _PREFLIGHT_REPORTS.clear()
             _PREFLIGHT_REPORTS[memo_key] = report
-    per_server[(carrier, graph)] = report
+    per_server[carrier] = report
     if report.findings:
         severities = report.counts_by_severity()
         codes = ", ".join(sorted(report.counts_by_code()))

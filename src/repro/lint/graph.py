@@ -903,8 +903,8 @@ class GraphAnalyzer:
     a world where one cell's configuration changed re-analyzes exactly
     the component containing that cell and serves every other component
     from cache.  The analyzer is cheap to construct; callers that want
-    incrementality across audits hold on to one instance (the preflight
-    hook keeps a module-global one).
+    incrementality across audits hold on to one instance (``diff_lint``
+    shares one between its two captures).
     """
 
     def __init__(self) -> None:

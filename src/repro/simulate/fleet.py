@@ -47,9 +47,9 @@ fleet only front-loads work the lane's tick would otherwise compute
 itself.  Batching never changes a single bit of any UE's outputs: every
 batched operation is the elementwise twin of the per-UE path (same
 ufuncs, same order, same RNG streams), and parity tests assert UE *k*
-of a fleet equals a solo :class:`DriveSimulator` run bit for bit.  Any
-lane in an unusual state (idle, scalar oracle, a handover due this
-tick) simply takes the lane's own path.
+of a fleet equals a solo :class:`DriveSimulator` run bit for bit,
+vectorized or scalar.  Any lane in an unusual state (idle, a handover
+due this tick) simply takes the lane's own path.
 """
 
 from __future__ import annotations
@@ -67,13 +67,7 @@ from repro.cellnet.rat import RAT
 from repro.config.events import EventTable
 from repro.pipeline import WorkUnit, default_workers, resolve_backend
 from repro.simulate.mobility import Trajectory, grid_drive, parked_position
-from repro.simulate.runner import (
-    DriveLane,
-    DriveResult,
-    SnapshotFeed,
-    TickSample,
-    profile_enabled,
-)
+from repro.simulate.runner import DriveLane, DriveResult, SnapshotFeed, TickSample
 from repro.simulate.scenarios import (
     SCENARIO_CARRIERS,
     DriveScenario,
@@ -154,7 +148,6 @@ class FleetOptions:
             (memory-heavy; aggregates never need it).
         shard_size: UEs per work unit (fixed, so the unit list is
             independent of the worker count).
-        config_lint: Preflight-audit carrier configurations.
     """
 
     scenario: ScenarioSpec = ScenarioSpec()
@@ -168,7 +161,6 @@ class FleetOptions:
     traffic: str = "speedtest"
     keep_samples: bool = False
     shard_size: int = 64
-    config_lint: bool = False
 
     def __post_init__(self) -> None:
         if self.tick_ms <= 0:
@@ -497,7 +489,6 @@ class _ShardResult:
 
     ues: list[UEResult]
     cache: dict
-    profile: dict | None = None
 
 
 class FleetSimulator:
@@ -507,7 +498,6 @@ class FleetSimulator:
         self.scenario = scenario
         self.options = options
         self._transit_cache: dict[int, Trajectory] = {}
-        self.profile: dict[str, float] | None = {} if profile_enabled() else None
 
     def _trajectory(self, spec: UESpec) -> Trajectory:
         if spec.profile == "transit":
@@ -529,18 +519,11 @@ class FleetSimulator:
         cache["misses"] -= misses0
         total = cache["hits"] + cache["misses"]
         cache["hit_rate"] = (cache["hits"] / total) if total else 0.0
-        return _ShardResult(ues=ues, cache=cache, profile=self.profile)
+        return _ShardResult(ues=ues, cache=cache)
 
     def simulate(self, start: int = 0, count: int | None = None) -> list[UEResult]:
         """Lockstep-simulate UEs ``start .. start+count`` of the fleet."""
         options = self.options
-        if options.config_lint:
-            # Imported here: repro.lint reaches repro.core, whose package
-            # init imports simulate back.
-            from repro.lint.engine import warn_before_run
-
-            for carrier in options.carriers:
-                warn_before_run(self.scenario.env, self.scenario.server, carrier)
         specs = ue_specs(options, start, count)
         env = self.scenario.env
         lanes = []
@@ -564,7 +547,6 @@ class FleetSimulator:
             feeds.setdefault(key, lane.feed)
             lane.static = spec.profile == "parked"
             lanes.append(lane)
-        profile = self.profile
         now_ms = 0
         tick_index = 0
         active = list(lanes)
@@ -574,7 +556,7 @@ class FleetSimulator:
         movers = [lane for lane in active if not lane.static]
         n_static_spots = len(active) - len(movers)
         # Persistent batch rows; each lane owns one for the whole run.
-        batch = _Batch(len(lanes), profile)
+        batch = _Batch(len(lanes))
         for row, lane in enumerate(lanes):
             lane.row = row
         # Lanes whose last tick was not quiet: their batch membership
@@ -586,7 +568,6 @@ class FleetSimulator:
         steady_movers: list[DriveLane] = []
         next_end = min((lane.trajectory.duration_ms for lane in active), default=0)
         while active:
-            t0 = perf_counter() if profile is not None else 0.0
             # Snapshot sharing: one physics pass per occupied
             # (location, carrier) spot; co-located lanes adopt it.
             spots: dict[tuple, list[DriveLane]] = {}
@@ -609,10 +590,6 @@ class FleetSimulator:
                     adopters = group
                 for lane in adopters:
                     lane.ue.meas.adopt_snapshot(lane.location, lane.carrier, snap)
-            if profile is not None:
-                now = perf_counter()
-                profile["fleet_physics"] = profile.get("fleet_physics", 0.0) + now - t0
-                t0 = now
             # Batch membership of the unsettled lanes.  A batched lane
             # that drops out (handover due, idle, RLF) is detached first:
             # the batch matrices update in place, so its engine must own
@@ -637,7 +614,6 @@ class FleetSimulator:
                     ue.state is RrcState.CONNECTED
                     and ue.serving is not None
                     and ue.serving.rat is RAT.LTE
-                    and ue.meas.vectorized
                     and not (command is not None and now_ms >= command.execute_at_ms)
                 ):
                     lane.batched = True
@@ -651,7 +627,6 @@ class FleetSimulator:
                 # whatever neighborhood each lives in.  The spots pass
                 # above (or the initial camp, for parked lanes) set every
                 # lane's snapshot memo.
-                t1 = perf_counter() if profile is not None else 0.0
                 filtered, _ = state.step(
                     [lane.row for lane in checked],
                     [lane.ue.meas for lane in checked],
@@ -659,19 +634,9 @@ class FleetSimulator:
                     [lane.ue.serving for lane in checked],
                     mover_rows,
                 )
-                if profile is not None:
-                    now = perf_counter()
-                    profile["fb_state"] = profile.get("fb_state", 0.0) + now - t1
-                    t1 = now
                 for lane in checked:
                     batch.refresh(lane)
                 quiet, serving_rsrp, serving_rsrq = batch.quiet_rows(now_ms, filtered)
-                if profile is not None:
-                    profile["fb_events"] = profile.get("fb_events", 0.0) + perf_counter() - t1
-            if profile is not None:
-                now = perf_counter()
-                profile["fleet_batch"] = profile.get("fleet_batch", 0.0) + now - t0
-                t0 = now
             # Per-lane tick.  A quiet lane only bumps counters (plus a
             # due PHY emission); a batched lane that is not quiet takes
             # the UE's full step over the batch's round, which its
@@ -693,8 +658,6 @@ class FleetSimulator:
                     lane.tick(now_ms)
                     unsettled.append(lane)
                 lane.sample(now_ms)
-            if profile is not None:
-                profile["fleet_lanes"] = profile.get("fleet_lanes", 0.0) + perf_counter() - t0
             now_ms += options.tick_ms
             tick_index += 1
             if now_ms <= next_end:
@@ -717,7 +680,7 @@ class FleetSimulator:
             # full check in the new one and no UE-visible value changes.
             if active and len(active) < 0.7 * state.n_rows:
                 state.close()
-                batch = _Batch(len(active), profile)
+                batch = _Batch(len(active))
                 for row, lane in enumerate(active):
                     lane.row = row
                     lane.batched = False
@@ -746,9 +709,8 @@ class _Batch:
     nothing outlives the run in a cycle.
     """
 
-    def __init__(self, n_rows: int, profile: dict | None):
+    def __init__(self, n_rows: int):
         self.state = BatchMeasurementState(n_rows)
-        self.state.profile = profile
         self.events = EventTable(n_rows)
         self.monitors: list = [None] * n_rows
         #: The prepared cell list each row's facts were derived in.
@@ -840,7 +802,6 @@ class FleetResult:
     aggregates: FleetAggregates
     elapsed_s: float
     snapshot_cache: dict = field(default_factory=dict)
-    profile: dict | None = None
 
     @property
     def ue_ticks_per_s(self) -> float:
@@ -871,14 +832,10 @@ def run_fleet(options: FleetOptions, workers: int | None = None) -> FleetResult:
     started = perf_counter()
     ues: list[UEResult] = []
     cache = {"hits": 0, "misses": 0}
-    profile: dict[str, float] = {}
     for shard in resolve_backend(workers).run(units):
         ues.extend(shard.ues)
         cache["hits"] += shard.cache.get("hits", 0)
         cache["misses"] += shard.cache.get("misses", 0)
-        if shard.profile:
-            for stage, seconds in shard.profile.items():
-                profile[stage] = profile.get(stage, 0.0) + seconds
     elapsed = perf_counter() - started
     total = cache["hits"] + cache["misses"]
     cache["hit_rate"] = (cache["hits"] / total) if total else 0.0
@@ -888,5 +845,4 @@ def run_fleet(options: FleetOptions, workers: int | None = None) -> FleetResult:
         aggregates=aggregate(ues, options.tick_ms),
         elapsed_s=elapsed,
         snapshot_cache=cache,
-        profile=profile or None,
     )

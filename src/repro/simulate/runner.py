@@ -16,10 +16,8 @@ time in batched chunks.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass, field
-from time import perf_counter
 
 import numpy as np
 
@@ -33,11 +31,6 @@ from repro.simulate.mobility import Trajectory
 from repro.simulate.throughput import ThroughputModel
 from repro.simulate.traffic import NoTraffic, Ping, Speedtest, TrafficModel
 from repro.ue.device import HandoffEvent, UserEquipment
-
-
-def profile_enabled() -> bool:
-    """Whether ``REPRO_PROFILE`` asks for per-stage timings."""
-    return os.environ.get("REPRO_PROFILE", "0") not in ("", "0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,12 +64,6 @@ class DriveResult:
     handoffs: list[HandoffEvent] = field(default_factory=list)
     diag_log: bytes = b""
     ping_rtts_ms: list[tuple[int, float | None]] = field(default_factory=list)
-    #: Per-stage cumulative wall seconds, populated when the drive ran
-    #: under ``REPRO_PROFILE=1``; None otherwise.  The runner's stages
-    #: are ``physics`` (tick locations and look-ahead snapshots),
-    #: ``ue_tick`` and ``ground_truth``; the UE adds ``measurement`` and
-    #: ``events`` (both inside ``ue_tick``).
-    profile: dict[str, float] | None = None
 
     def throughput_series(self, bin_ms: int = 1000) -> list[tuple[int, float]]:
         """(bin start, mean delivered bps) series at ``bin_ms`` bins.
@@ -238,7 +225,7 @@ class DriveLane:
         tick_ms: int,
         seed: int,
         run_index: int = 0,
-        vectorized: bool | None = None,
+        vectorized: bool = True,
         keep_samples: bool = True,
         feed: SnapshotFeed | None = None,
     ):
@@ -418,8 +405,7 @@ class DriveSimulator:
             reference loop with its own per-tick one-spot snapshot;
             drives are bit-identical either way, so comparing the two
             also checks the feed's batched rows against one-spot
-            passes.  Setting ``REPRO_PROFILE=1`` additionally attaches
-            per-stage cumulative timings to each :class:`DriveResult`.
+            passes.
     """
 
     def __init__(
@@ -430,7 +416,7 @@ class DriveSimulator:
         seed: int = 0,
         tick_ms: int = 200,
         config_lint: bool = True,
-        vectorized: bool | None = None,
+        vectorized: bool = True,
     ):
         self.env = env
         self.server = server
@@ -470,32 +456,16 @@ class DriveSimulator:
             run_index,
             self.vectorized,
         )
-        profile: dict[str, float] | None = None
-        if profile_enabled():
-            profile = {}
-            lane.ue.profile = profile
         feed, meas, carrier = lane.feed, lane.ue.meas, self.carrier
         # The scalar oracle takes its own per-tick snapshot.
         look_ahead = meas.vectorized
         now_ms = 0
         while now_ms <= trajectory.duration_ms:
-            t0 = perf_counter() if profile is not None else 0.0
             location = lane.location = feed.location(now_ms)
             if look_ahead and (location.x, location.y, carrier) != meas._snap_key:
                 meas.adopt_snapshot(location, carrier, feed.snapshot(now_ms))
-            if profile is None:
-                lane.tick(now_ms)
-                lane.sample(now_ms)
-            else:
-                t1 = perf_counter()
-                lane.tick(now_ms)
-                t2 = perf_counter()
-                lane.sample(now_ms)
-                profile["physics"] = profile.get("physics", 0.0) + t1 - t0
-                profile["ue_tick"] = profile.get("ue_tick", 0.0) + t2 - t1
-                profile["ground_truth"] = (
-                    profile.get("ground_truth", 0.0) + perf_counter() - t2
-                )
+            lane.tick(now_ms)
+            lane.sample(now_ms)
             now_ms += self.tick_ms
         return DriveResult(
             carrier=self.carrier,
@@ -504,5 +474,4 @@ class DriveSimulator:
             handoffs=list(lane.ue.handoffs),
             diag_log=lane.writer.getvalue(),
             ping_rtts_ms=lane.ping_rtts,
-            profile=profile,
         )

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
@@ -149,7 +148,7 @@ class UserEquipment:
         network: NetworkController | None = None,
         phy_meas_interval_ms: int = 500,
         sib_obs_rng: np.random.Generator | None = None,
-        vectorized: bool | None = None,
+        vectorized: bool = True,
     ):
         self.env = env
         self.server = server
@@ -188,9 +187,6 @@ class UserEquipment:
         #: measurement mapping); exposed for shadow consumers like the
         #: handoff predictor, which must see exactly what the device sees.
         self.last_measurements: dict[CellId, FilteredMeasurement] | MeasurementRound | None = None
-        #: When set (by the runner under ``REPRO_PROFILE=1``), per-stage
-        #: cumulative seconds are accumulated into this dict.
-        self.profile: dict[str, float] | None = None
 
     # -- message plumbing -------------------------------------------------
 
@@ -353,11 +349,7 @@ class UserEquipment:
     def _connected_step(self, now_ms: int, location) -> None:
         serving = self.serving
         assert serving is not None
-        profile = self.profile
-        t0 = perf_counter() if profile is not None else 0.0
         measured = self.meas.step(location, self.carrier, serving)
-        if profile is not None:
-            profile["measurement"] = profile.get("measurement", 0.0) + perf_counter() - t0
         self.last_measurements = measured
         serving_meas = measured.get(serving.cell_id)
         if serving_meas is None:
@@ -368,14 +360,11 @@ class UserEquipment:
         self._emit_phy_meas(now_ms, serving_meas)
         if self.monitor is None or self.pending_handover is not None:
             return
-        t0 = perf_counter() if profile is not None else 0.0
         if isinstance(measured, MeasurementRound):
             triggers = self.monitor.step_round(now_ms, measured, serving_meas)
         else:
             intra_rat, inter_rat = self.meas.split_neighbors(measured, serving)
             triggers = self.monitor.step(now_ms, serving_meas, intra_rat, inter_rat)
-        if profile is not None:
-            profile["events"] = profile.get("events", 0.0) + perf_counter() - t0
         for trigger in triggers:
             report = MeasurementReport(
                 event=trigger.event.value,

@@ -18,16 +18,14 @@ S-gated idle rounds included.  :class:`BatchMeasurementState` performs
 the same full-measure connected rounds for a whole fleet shard at once,
 in persistent (metric x UE x cell) matrices.  The *scalar* path is the
 original per-cell loop, kept as the one reference oracle
-(``REPRO_SCALAR=1``) — parity tests assert all three produce
+(``vectorized=False``) — parity tests assert all three produce
 bit-identical drives.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Mapping
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
@@ -40,11 +38,6 @@ from repro.cellnet.rat import (
     clamp_rsrq,
 )
 from repro.cellnet.world import RadioEnvironment
-
-
-def default_vectorized() -> bool:
-    """Whether new engines take the vectorized path (REPRO_SCALAR=1 opts out)."""
-    return os.environ.get("REPRO_SCALAR", "0") in ("", "0")
 
 
 @dataclass(frozen=True)
@@ -205,8 +198,8 @@ class MeasurementEngine:
         noise_std_db: L1 sample noise standard deviation.
         filter_k: TS 36.331 filterCoefficient (k = 4 gives a = 0.5).
         radius_m: Neighbor search radius per snapshot.
-        vectorized: Take the array-resident fast path (default; honours
-            ``REPRO_SCALAR=1``) or the scalar per-cell reference loop.
+        vectorized: Take the array-resident fast path (default) or the
+            scalar per-cell reference loop.
     """
 
     def __init__(
@@ -217,7 +210,7 @@ class MeasurementEngine:
         filter_k: int = 4,
         radius_m: float = 2500.0,
         detection_floor_dbm: float = -126.0,
-        vectorized: bool | None = None,
+        vectorized: bool = True,
     ):
         self.env = env
         self.rng = rng
@@ -228,7 +221,7 @@ class MeasurementEngine:
         #: both a realism point (cell search has a sensitivity floor)
         #: and the measurement hot path's main cost saver.
         self.detection_floor_dbm = detection_floor_dbm
-        self.vectorized = default_vectorized() if vectorized is None else vectorized
+        self.vectorized = vectorized
         #: Scalar-path filter state (cell id -> (rsrp, rsrq)).
         self._filtered: dict[CellId, tuple[float, float]] = {}
         #: Vectorized-path filter state, aligned with ``_aligned.cells``.
@@ -593,9 +586,6 @@ class BatchMeasurementState:
         #: Serving-eligibility write targets (None: rebuild).
         self._sv_rows: np.ndarray | None = None
         self._sv_cols: np.ndarray | None = None
-        #: Optional ``REPRO_PROFILE`` stage-timing sink (the fleet
-        #: simulator attaches its own profile dict here).
-        self.profile: dict | None = None
 
     def _grow(self, need_n: int) -> None:
         """(Re)allocate matrices for a larger cell axis; all rows stale."""
@@ -726,8 +716,6 @@ class BatchMeasurementState:
         No :class:`MeasurementRound` objects are created here —
         :meth:`round_at` materializes one for a lane that consumes it.
         """
-        profile = self.profile
-        t0 = perf_counter() if profile is not None else 0.0
         checks = list(zip(rows, engines, snaps, servings))
         attached, last_snap, last_n = self._engines, self._last_snap, self._last_n
         raw = self._raw
@@ -755,10 +743,6 @@ class BatchMeasurementState:
             if eng is not None:
                 n = last_n[r]
                 noise[:, r, :n] = eng._noise(2 * n).reshape(2, n)
-        if profile is not None:
-            now = perf_counter()
-            profile["bs_rows"] = profile.get("bs_rows", 0.0) + now - t0
-            t0 = now
         raw, prev, has = self._raw, self._prev, self._has
         t1, t2 = self._t1, self._t2
         # Scaling the unit draws is the same multiply the per-engine
@@ -793,8 +777,6 @@ class BatchMeasurementState:
             self._sv_rows = np.array([p[0] for p in pairs], dtype=np.intp)
             self._sv_cols = np.array([p[1] for p in pairs], dtype=np.intp)
         has[self._sv_rows, self._sv_cols] = True
-        if profile is not None:
-            profile["bs_matrix"] = profile.get("bs_matrix", 0.0) + perf_counter() - t0
         return prev, has
 
     def serving_values(self) -> np.ndarray:

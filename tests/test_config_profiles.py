@@ -251,3 +251,14 @@ def test_thresh_x_low_rides_above_serving_low():
 def test_styles_exist_for_named_carriers():
     for acronym in ("A", "T", "V", "S", "CM", "SK", "MO", "CH", "CW"):
         assert acronym in CARRIER_STYLES
+
+
+def test_unlisted_carriers_share_one_style_and_one_table_set():
+    assert "ZZ" not in CARRIER_STYLES and "QX" not in CARRIER_STYLES
+    first, second = CarrierProfile("ZZ"), CarrierProfile("QX", seed=2019)
+    assert first.style is second.style
+    assert first._tables is second._tables
+    # A listed carrier's profiles share their style's tables, and no
+    # other style's.
+    assert CarrierProfile("A")._tables is CarrierProfile("A", seed=2019)._tables
+    assert CarrierProfile("A")._tables is not first._tables

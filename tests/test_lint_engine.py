@@ -315,10 +315,10 @@ def test_preflight_warns_once(env):
     assert second is first
 
 
-def _direct_preflight(fixture, graph=False):
+def _direct_preflight(fixture):
     return lint_world(
         fixture.env, fixture.server, carriers=(LOOP_CARRIER,),
-        max_cells_per_carrier=PREFLIGHT_MAX_CELLS, graph=graph,
+        max_cells_per_carrier=PREFLIGHT_MAX_CELLS,
     )
 
 
@@ -334,19 +334,6 @@ def test_preflight_audits_each_static_server_itself():
     assert first.findings == _direct_preflight(corrected).findings
     assert second.findings == _direct_preflight(broken).findings
     assert len(second.findings) > len(first.findings)
-
-
-def test_preflight_server_memo_keys_the_graph_flag():
-    fixture = loop_fixture(misconfigured=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConfigLintWarning)
-        plain = warn_before_run(fixture.env, fixture.server, LOOP_CARRIER, graph=False)
-        graphed = warn_before_run(fixture.env, fixture.server, LOOP_CARRIER, graph=True)
-    assert plain.graph_stats is None
-    assert graphed.graph_stats is not None
-    direct = _direct_preflight(fixture, graph=True)
-    assert graphed.findings == direct.findings
-    assert any(f.code.startswith("HC2") for f in graphed.findings)
 
 
 def test_simulator_preflight_toggle(scenario):

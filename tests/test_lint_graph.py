@@ -22,6 +22,7 @@ from repro.config.lte import (
 from repro.core.crawler import CellConfigSnapshot
 from repro.lint import (
     FULL_RSRP,
+    ConfigLintWarning,
     GraphAnalyzer,
     Interval,
     build_components,
@@ -415,13 +416,13 @@ def test_world_digest_tracks_content_and_seed():
 
 
 def test_preflight_graph_report_memoized_across_servers():
+    # The preflight runs no graph pass (`repro lint --graph` is the
+    # graph audit), and its report is memoized by world content.
     first_scenario = loop_fixture(misconfigured=True)
-    with pytest.warns(Warning):
-        first = warn_before_run(
-            first_scenario.env, first_scenario.server, "A", graph=True
-        )
-    assert first.graph_stats is not None
-    assert any(f.code == "HC201" for f in first.findings)
+    with pytest.warns(ConfigLintWarning):
+        first = warn_before_run(first_scenario.env, first_scenario.server, "A")
+    assert first.graph_stats is None
+    assert first.findings
     # Fresh profile-configured servers over an identical world reuse the
     # finished audit (same object out of the content-digest memo) and
     # still warn.  The fixture's static servers inject configurations
@@ -429,21 +430,12 @@ def test_preflight_graph_report_memoized_across_servers():
     reports = []
     for _ in range(2):
         fresh = loop_fixture(misconfigured=True)
-        with pytest.warns(Warning):
+        with pytest.warns(ConfigLintWarning):
             reports.append(warn_before_run(
-                fresh.env, ConfigServer(fresh.env, seed=2018), "A", graph=True
+                fresh.env, ConfigServer(fresh.env, seed=2018), "A"
             ))
     assert reports[1] is reports[0]
     assert reports[0] is not first
-
-
-def test_preflight_graph_env_toggle(monkeypatch):
-    scenario = loop_fixture(misconfigured=True)
-    monkeypatch.setenv("REPRO_LINT_GRAPH", "1")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report = warn_before_run(scenario.env, scenario.server, "A")
-    assert report.graph_stats is not None
 
 
 def test_graph_codes_in_rules_run_only_when_graph_runs():

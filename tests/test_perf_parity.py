@@ -4,8 +4,8 @@ The vectorized UE tick loop is only acceptable if it is *bit-identical*
 to the scalar reference: same tick samples, same handoffs, same diag
 log bytes.  These tests drive both paths over multi-handoff drives and
 compare the full result bundles, plus the supporting machinery (snapshot
-reuse across the runner tick, the ``REPRO_PROFILE`` hook, the
-``REPRO_SCALAR`` opt-out).
+reuse across the runner tick, the look-ahead feed, the ground-truth
+memos).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.simulate.runner import DriveSimulator, TickSample
 from repro.simulate.scenarios import ScenarioSpec, drive_scenario
 from repro.simulate.throughput import ThroughputModel
 from repro.simulate.traffic import NoTraffic, Speedtest
-from repro.ue.measurement import MeasurementEngine, default_vectorized
+from repro.ue.measurement import MeasurementEngine
 
 
 def _drive(scenario, vectorized, traffic, duration_s=240.0, seed=3):
@@ -149,23 +149,3 @@ def test_engine_snapshot_memoized(scenario):
     assert engine.snapshot(origin, "A") is first
     moved = engine.snapshot(origin.offset(40.0, 0.0), "A")
     assert moved is not first
-
-
-def test_profile_hook(scenario, monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE", "1")
-    result = _drive(scenario, True, Speedtest(), duration_s=30.0)
-    assert result.profile is not None
-    for stage in ("physics", "ue_tick", "ground_truth", "measurement", "events"):
-        assert result.profile[stage] > 0.0
-
-
-def test_profile_off_by_default(scenario):
-    result = _drive(scenario, True, Speedtest(), duration_s=30.0)
-    assert result.profile is None
-
-
-def test_scalar_env_opt_out(monkeypatch):
-    monkeypatch.delenv("REPRO_SCALAR", raising=False)
-    assert default_vectorized() is True
-    monkeypatch.setenv("REPRO_SCALAR", "1")
-    assert default_vectorized() is False

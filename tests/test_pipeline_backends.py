@@ -1,10 +1,13 @@
 """Tests for the work-unit execution backends."""
 
+import re
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.pipeline import (
     ProcessPoolBackend,
     SerialBackend,
@@ -110,6 +113,25 @@ def test_default_workers_reads_env(monkeypatch, value, expected):
     else:
         monkeypatch.setenv("REPRO_WORKERS", value)
     assert default_workers() == expected
+
+
+#: An environment read: ``os.environ``/``os.getenv``, or either
+#: imported from ``os`` by name.
+_ENV_READ = re.compile(r"\bos\.(?:environ|getenv)\b|from os import [^\n]*\b(?:environ|getenv)\b")
+
+
+def test_only_default_workers_reads_the_environment():
+    # A run is shaped by its arguments plus REPRO_WORKERS, a deployment
+    # setting: no other module may let the environment pick a code path.
+    package = Path(repro.__file__).parent
+    readers = sorted(
+        path.relative_to(package.parent).as_posix()
+        for path in package.rglob("*.py")
+        if _ENV_READ.search(path.read_text(encoding="utf-8"))
+    )
+    assert readers == ["repro/pipeline/backends.py"]
+    body = (package / "pipeline" / "backends.py").read_text(encoding="utf-8")
+    assert len(_ENV_READ.findall(body)) == 1
 
 
 def _square(unit_id: int, value: int) -> SquareUnit:

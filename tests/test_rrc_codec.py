@@ -110,6 +110,29 @@ def test_equal_broadcast_payloads_decode_to_one_object(decode_memo):
     assert decode_message(_fresh(buf)) is first
 
 
+def test_decode_memo_holds_a_d2_bodys_distinct_payloads(decode_memo, monkeypatch):
+    # One d2-crowdsource body decodes about 5,200 distinct cacheable
+    # payloads; a memo cleared below that decodes some of them twice.
+    bufs = [
+        encode_message(Sib1(carrier="A", gci=gci, channel=850, city="Chicago"))
+        for gci in range(5000)
+    ]
+    calls = 0
+    from_payload = Sib1.from_payload.__func__
+
+    def counting(cls, payload):
+        nonlocal calls
+        calls += 1
+        return from_payload(cls, payload)
+
+    monkeypatch.setattr(Sib1, "from_payload", classmethod(counting))
+    first = [decode_message(_fresh(buf)) for buf in bufs]
+    assert calls == len(bufs)
+    second = [decode_message(_fresh(buf)) for buf in bufs]
+    assert calls == len(bufs)
+    assert all(a is b for a, b in zip(first, second))
+
+
 @pytest.mark.parametrize("message", [
     PhyServingMeas(carrier="A", gci=1, channel=850, rsrp_dbm=-101.5, rsrq_db=-11.0),
     MeasurementReport(serving=MeasResult(carrier="A", gci=1, rsrp_dbm=-101.5)),

@@ -2,8 +2,8 @@
 
 The load-bearing guarantee is bit-parity: a fleet member's outputs
 must equal a solo :class:`DriveSimulator` run with the same seed, no
-matter the fleet size, the worker count, or whether the batched
-(vectorized) or scalar reference path executed it.
+matter the fleet size or the worker count, and whether that solo drive
+takes the vectorized path or the scalar reference oracle.
 """
 
 from __future__ import annotations
@@ -159,10 +159,18 @@ def fleet_by_traffic(fleet_results):
     return run
 
 
-@pytest.mark.parametrize("traffic", ["speedtest", "iperf", "ping", "idle"])
-def test_fleet_ue_matches_solo_drive(fleet_by_traffic, traffic):
+@pytest.mark.parametrize(
+    "traffic, vectorized",
+    [
+        pytest.param(traffic, vectorized, id=traffic if vectorized else f"{traffic}-scalar")
+        for vectorized in (True, False)
+        for traffic in ("speedtest", "iperf", "ping", "idle")
+    ],
+)
+def test_fleet_ue_matches_solo_drive(fleet_by_traffic, traffic, vectorized):
     # Ping lanes draw RTTs from the throughput RNG on quiet ticks,
-    # iperf lanes carry a backlog, and idle lanes never batch.
+    # iperf lanes carry a backlog, and idle lanes never batch.  The
+    # scalar solo drive is the oracle of every batched stage.
     options, results = fleet_by_traffic(traffic)
     scenario = options.scenario.build()
     for spec in ue_specs(options):
@@ -174,6 +182,7 @@ def test_fleet_ue_matches_solo_drive(fleet_by_traffic, traffic):
             spec.carrier,
             seed=spec.seed,
             config_lint=False,
+            vectorized=vectorized,
         ).run(trajectory_for(scenario, options, spec), make_traffic(options.traffic))
         ue = results[spec.index]
         assert solo.samples == ue.samples, f"UE {spec.index} ({spec.profile})"
@@ -237,17 +246,6 @@ def test_fleet_size_does_not_change_members(fleet_results):
         assert ue.samples == results[k].samples
         assert ue.handoffs == results[k].handoffs
         assert ue.diag_sha256 == results[k].diag_sha256
-
-
-def test_scalar_oracle_matches_batched(fleet_results, monkeypatch):
-    options, results = fleet_results
-    monkeypatch.setenv("REPRO_SCALAR", "1")
-    oracle = FleetSimulator(options.scenario.build(), options).simulate()
-    for vec, ref in zip(results, oracle):
-        assert vec.samples == ref.samples
-        assert vec.handoffs == ref.handoffs
-        assert vec.diag_sha256 == ref.diag_sha256
-        assert vec.ping_rtts_ms == ref.ping_rtts_ms
 
 
 _COLD_FLEET = """
