@@ -107,12 +107,21 @@ class CellRegistry:
     """
 
     _by_id: dict[CellId, Cell] = field(default_factory=dict)
+    #: Every cell in identity order; sorted on the first read after an
+    #: ``add`` (None until then).
+    _ordered: list[Cell] | None = field(default=None, repr=False, compare=False)
 
     def add(self, cell: Cell) -> None:
         """Register a cell; identities must be unique."""
         if cell.cell_id in self._by_id:
             raise ValueError(f"duplicate cell id {cell.cell_id}")
         self._by_id[cell.cell_id] = cell
+        self._ordered = None
+
+    def _in_order(self) -> list[Cell]:
+        if self._ordered is None:
+            self._ordered = [self._by_id[k] for k in sorted(self._by_id)]
+        return self._ordered
 
     def get(self, cell_id: CellId) -> Cell:
         """Look up a cell by identity (KeyError if absent)."""
@@ -129,19 +138,19 @@ class CellRegistry:
 
     def all_cells(self) -> list[Cell]:
         """All registered cells in deterministic (identity) order."""
-        return [self._by_id[k] for k in sorted(self._by_id)]
+        return list(self._in_order())
 
     def by_carrier(self, carrier: str) -> list[Cell]:
         """All cells operated by ``carrier``, in identity order."""
-        return [c for c in self.all_cells() if c.carrier == carrier]
+        return [c for c in self._in_order() if c.carrier == carrier]
 
     def by_city(self, city: str) -> list[Cell]:
         """All cells located in ``city``, in identity order."""
-        return [c for c in self.all_cells() if c.city == city]
+        return [c for c in self._in_order() if c.city == city]
 
     def by_rat(self, rat: RAT) -> list[Cell]:
         """All cells of technology ``rat``, in identity order."""
-        return [c for c in self.all_cells() if c.rat is rat]
+        return [c for c in self._in_order() if c.rat is rat]
 
     def neighbors_of(self, cell: Cell, radius_m: float) -> list[Cell]:
         """Cells of the same carrier within ``radius_m`` of ``cell``.
@@ -151,7 +160,7 @@ class CellRegistry:
         """
         return [
             c
-            for c in self.all_cells()
+            for c in self._in_order()
             if c.carrier == cell.carrier
             and c.cell_id != cell.cell_id
             and c.location.distance_to(cell.location) <= radius_m

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cellnet.rat import RAT
-from repro.config.parameters import samples_from_fields, spec_by_name
+from repro.config.parameters import domain_violations, samples_from_fields
 
 
 @dataclass(frozen=True)
@@ -167,9 +167,4 @@ LegacyCellConfig = UmtsCellConfig | GsmCellConfig | EvdoCellConfig | Cdma1xCellC
 
 def validate_legacy(config: LegacyCellConfig, rat: RAT) -> list[str]:
     """Domain-check a legacy config against its RAT's registry."""
-    problems = []
-    for name, value in config.parameter_samples():
-        spec = spec_by_name(rat, name)
-        if not spec.domain.contains(value):
-            problems.append(f"{name}={value!r} outside domain")
-    return problems
+    return domain_violations(rat, config.parameter_samples())

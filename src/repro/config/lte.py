@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.config.events import EventConfig, PeriodicConfig
-from repro.config.parameters import samples_from_fields, spec_by_name
+from repro.config.parameters import domain_violations, samples_from_fields
 from repro.cellnet.rat import RAT
 
 
@@ -217,12 +217,7 @@ class LteCellConfig:
 
     def validate(self) -> list[str]:
         """Domain-check every sample; returns violation descriptions."""
-        problems = []
-        for name, value in self.parameter_samples():
-            spec = spec_by_name(RAT.LTE, name)
-            if not spec.domain.contains(value):
-                problems.append(f"{name}={value!r} outside domain")
-        return problems
+        return domain_violations(RAT.LTE, self.parameter_samples())
 
     def priority_of_layer(self, rat: RAT, channel: int, serving_channel: int) -> int | None:
         """Reselection priority this cell assigns to a (rat, channel) layer.

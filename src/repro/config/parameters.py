@@ -346,6 +346,25 @@ def spec_by_name(rat: RAT, name: str) -> ParameterSpec:
         raise KeyError(f"unknown {rat.value} parameter {name!r}") from None
 
 
+def domain_violations(rat: RAT, samples: list[tuple[str, object]]) -> list[str]:
+    """Domain-check (name, value) samples against ``rat``'s registry.
+
+    The one check loop of :meth:`repro.config.lte.LteCellConfig.validate`
+    and :func:`repro.config.legacy.validate_legacy`; returns one
+    description per value outside its parameter's domain.
+
+    Raises:
+        KeyError: If a name is not in the registry.
+    """
+    table = _BY_NAME[rat]
+    problems = []
+    for name, value in samples:
+        spec = table.get(name) or spec_by_name(rat, name)  # raises if unknown
+        if not spec.domain.contains(value):
+            problems.append(f"{name}={value!r} outside domain")
+    return problems
+
+
 def idle_state_parameters(rat: RAT) -> tuple[ParameterSpec, ...]:
     """Parameters broadcast in SIBs (idle-state handoff configuration)."""
     return tuple(s for s in REGISTRY[rat] if s.message not in ("meas_config", "meas_control"))

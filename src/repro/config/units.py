@@ -10,7 +10,8 @@ number of *distinct* values is itself a measurand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 #: Allowed time-to-trigger values in milliseconds (TS 36.331
 #: TimeToTrigger).  The paper observes the [40, 1280] sub-range for
@@ -49,6 +50,12 @@ def nearest_time_to_trigger(value_ms: float) -> int:
     return min(TIME_TO_TRIGGER_MS, key=lambda v: abs(v - value_ms))
 
 
+#: Cap on each domain's memo of membership answers.  An audit of the
+#: full D2 world meets a few dozen distinct values per domain; past the
+#: cap a domain answers new values without storing them.
+DOMAIN_MEMO_CAP = 1024
+
+
 @dataclass(frozen=True)
 class Domain:
     """Value domain of one configuration parameter.
@@ -59,6 +66,13 @@ class Domain:
         high: Inclusive upper bound (numeric kinds).
         step: Grid step for numeric kinds (None = continuous).
         choices: Allowed values for "enum".
+
+    Each domain memoizes its :meth:`contains` answers, up to
+    :data:`DOMAIN_MEMO_CAP` of them, for ints, bools, strings and floats
+    other than NaN.  The key is the value's exact type and the value, a
+    float zero also its sign, so ``True``, ``1`` and ``1.0`` or ``0.0``
+    and ``-0.0`` never share an answer.  Any other value (a list, a NaN)
+    is evaluated on every call.
     """
 
     kind: str
@@ -66,9 +80,31 @@ class Domain:
     high: float | None = None
     step: float | None = None
     choices: tuple | None = None
+    _memo: dict[tuple, bool] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def contains(self, value) -> bool:
         """Whether ``value`` is a member of this domain."""
+        kind = type(value)
+        if kind is float:
+            if value != value:
+                return self._evaluate(value)
+            key: tuple = (kind, value) if value else (kind, value, math.copysign(1.0, value))
+        elif kind is int or kind is str or kind is bool:
+            key = (kind, value)
+        else:
+            return self._evaluate(value)
+        memo = self._memo
+        found = memo.get(key)
+        if found is None:
+            found = self._evaluate(value)
+            if len(memo) < DOMAIN_MEMO_CAP:
+                memo[key] = found
+        return found
+
+    def _evaluate(self, value) -> bool:
+        """The membership test :meth:`contains` memoizes."""
         if self.kind == "enum":
             return self.choices is not None and value in self.choices
         if self.kind == "list":

@@ -225,6 +225,13 @@ def diff_cell(
     """Semantic changes between two observations of one cell."""
     if snapshot_digest(old) == snapshot_digest(new):
         return ()
+    return _changed_cell(old, new)
+
+
+def _changed_cell(
+    old: CellConfigSnapshot, new: CellConfigSnapshot
+) -> tuple[ConfigChange, ...]:
+    """:func:`diff_cell` for a pair whose digests are known to differ."""
     old_flat = flatten_cell(old)
     new_flat = flatten_cell(new)
     changes: list[ConfigChange] = []
@@ -297,14 +304,14 @@ def diff_cell(
 
 @dataclass(frozen=True)
 class CellDiffUnit(WorkUnit):
-    """One cell-pair diff as a :mod:`repro.pipeline` work unit."""
+    """One changed cell pair's diff as a :mod:`repro.pipeline` work unit."""
 
     unit_id: int
     old: CellConfigSnapshot
     new: CellConfigSnapshot
 
     def run(self) -> tuple[ConfigChange, ...]:
-        return diff_cell(self.old, self.new)
+        return _changed_cell(self.old, self.new)
 
 
 def _sort_changes(changes: list[ConfigChange]) -> tuple[ConfigChange, ...]:
@@ -320,9 +327,10 @@ def diff_config_snapshots(
 ) -> tuple[ConfigChange, ...]:
     """Semantic changes between two captures, deterministically ordered.
 
-    Cells are matched by (carrier, gci); per-cell digests short-circuit
-    unchanged cells, and changed pairs shard over pipeline workers with
-    results merged in canonical unit order — the output is byte-for-byte
+    Cells are matched by (carrier, gci); the captures' per-cell digests
+    (each capture hashed once) skip unchanged cells, and only changed
+    pairs become work units, sharded over pipeline workers with results
+    merged in canonical unit order — the output is byte-for-byte
     identical at any ``workers`` value.
     """
     old_cells = {(c.carrier, c.gci): c for c in old.cells}
@@ -344,9 +352,15 @@ def diff_config_snapshots(
             detail=f"cell {cell.carrier}/{cell.gci} ({cell.rat} "
                    f"ch{cell.channel}) added",
         ))
+    old_digests = old.cell_digests()
+    new_digests = new.cell_digests()
+    changed = [
+        key for key in sorted(set(old_cells) & set(new_cells))
+        if old_digests[key] != new_digests[key]
+    ]
     units = [
         CellDiffUnit(unit_id=i, old=old_cells[key], new=new_cells[key])
-        for i, key in enumerate(sorted(set(old_cells) & set(new_cells)))
+        for i, key in enumerate(changed)
     ]
     for result in resolve_backend(workers).run(units):
         assert isinstance(result, tuple)
@@ -527,11 +541,11 @@ def diff_lint(
     analyzer = GraphAnalyzer()
     old_report = lint_snapshots(
         list(old.cells), rules=static_rules, graph=True,
-        workers=workers, graph_analyzer=analyzer,
+        workers=workers, graph_analyzer=analyzer, digests=old.digests,
     )
     new_report = lint_snapshots(
         list(new.cells), rules=static_rules, graph=True,
-        workers=workers, graph_analyzer=analyzer,
+        workers=workers, graph_analyzer=analyzer, digests=new.digests,
     )
     changes = diff_config_snapshots(old, new, workers=workers)
     series = tuple(timeline) if timeline else (old, new)

@@ -31,6 +31,7 @@ import hashlib
 import warnings
 import weakref
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.cellnet.cell import Cell
 from repro.cellnet.rat import RAT
@@ -106,6 +107,7 @@ def lint_snapshots(
     coverage: bool = False,
     workers: int | None = None,
     graph_analyzer: GraphAnalyzer | None = None,
+    digests: Sequence[str] | None = None,
 ) -> LintReport:
     """Run (all or selected) rules over a list of snapshots.
 
@@ -122,6 +124,9 @@ def lint_snapshots(
             (None/1 = serial).
         graph_analyzer: Analyzer instance to reuse for incremental
             per-component caching (default: a fresh one per call).
+        digests: Each snapshot's :func:`~repro.lint.graph.snapshot_digest`,
+            in snapshot order, when the caller has them (a capture's
+            :attr:`~repro.lint.snapshot.ConfigSnapshot.digests`).
     """
     if rules is None:
         rules = select_rules(codes)
@@ -140,10 +145,8 @@ def lint_snapshots(
     # hash each cell once for the two of them.
     run_graph = graph and bool(graph_codes)
     run_coverage = coverage and bool(coverage_codes)
-    digests = (
-        [snapshot_digest(s) for s in snapshots]
-        if run_graph or run_coverage else None
-    )
+    if digests is None and (run_graph or run_coverage):
+        digests = [snapshot_digest(s) for s in snapshots]
     graph_stats: GraphStats | None = None
     rules_run = tuple(r.code for r in snapshot_rules)
     if run_graph:

@@ -19,7 +19,10 @@ graph over an audited snapshot population and verifies it symbolically:
   role of the 2-cell separation band.
 
 On that graph the verifier runs SCC detection plus bounded simple-cycle
-enumeration with interval-compatibility checking:
+enumeration with interval-compatibility checking.  Each component's
+edges are grouped by hop once (:class:`HopIndex`), and each mode policy
+walks that index once: the stats and HC201 share the all-modes walk,
+HC202 walks the idle graph.
 
 * **HC201** (loop-active): a cycle whose hops can all fire in connected
   mode — every node has a non-empty RSRP window (the intersection of
@@ -54,7 +57,7 @@ from __future__ import annotations
 import hashlib
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from repro.config.events import EventConfig, EventType
 from repro.config.lte import LteCellConfig
@@ -95,9 +98,13 @@ ANY_CHANNEL = -1
 ANY_LEGACY_RAT = "*legacy*"
 
 
-@dataclass(frozen=True, order=True)
-class LayerRef:
-    """One graph node: a (RAT, channel) frequency layer."""
+class LayerRef(NamedTuple):
+    """One graph node: a (RAT, channel) frequency layer.
+
+    A named tuple, so it equals, hashes and sorts as the plain tuple
+    ``(rat, channel)``: union-find, SCC, the cycle walk and the edge sort
+    compare layers in C.
+    """
 
     rat: str
     channel: int
@@ -172,7 +179,8 @@ class ComponentGraph:
 
     Self-contained and picklable so a :class:`GraphComponentUnit` can
     carry it to a pool worker.  ``edges`` (``component_edges(policies)``,
-    sliced by :func:`build_components`) is the one copy graph rules read.
+    sliced by :func:`build_components`) is the one copy of the
+    component's edges; graph rules read it through a :class:`HopIndex`.
     """
 
     carrier: str
@@ -654,6 +662,89 @@ def _enumerate_cycles(
     return cycles, False
 
 
+#: A handoff hop: (source layer, destination layer).
+Hop = tuple[LayerRef, LayerRef]
+
+#: A mode policy: the edge modes a loop rule considers, and the mode whose
+#: candidates it prefers on a hop (None: no preference).
+ModePolicy = tuple[tuple[str, ...], str | None]
+
+#: HC201's policy, whose walk also gives the graph stats: both edge modes
+#: (every edge is "idle" or "active"), active candidates preferred.
+ALL_MODES: ModePolicy = (("idle", "active"), "active")
+
+#: HC202's policy: idle reselection edges only.
+IDLE_ONLY: ModePolicy = (("idle",), None)
+
+
+def _pick_key(edge: PolicyEdge) -> tuple[float, float, str, str, int]:
+    """Greedy hop order: most permissive first, deterministic tie-breaks."""
+    return (
+        edge.margin_db,
+        -(edge.serving_interval.width + edge.target_interval.width),
+        edge.kind, edge.mode, edge.via_gci,
+    )
+
+
+class ModeView:
+    """One component's layer graph under one mode policy.
+
+    Holds each hop's candidate pool (its edges in the policy's modes, in
+    ``edges`` order), the one cycle walk over the hops that have a
+    candidate, and each hop's greedy pick, made on first use: the most
+    permissive candidate, among the preferred mode's when it offers any.
+    """
+
+    def __init__(self, hops: dict[Hop, list[PolicyEdge]], policy: ModePolicy) -> None:
+        modes, self.prefer_mode = policy
+        self.pools: dict[Hop, list[PolicyEdge]] = {}
+        adjacency: dict[LayerRef, set[LayerRef]] = {}
+        for hop, edges in hops.items():
+            pool = [e for e in edges if e.mode in modes]
+            if pool:
+                self.pools[hop] = pool
+                adjacency.setdefault(hop[0], set()).add(hop[1])
+        self.cycles, self.truncated = _enumerate_cycles(
+            adjacency, MAX_CYCLES_PER_COMPONENT
+        )
+        self._picks: dict[Hop, PolicyEdge] = {}
+
+    def pick(self, hop: Hop) -> PolicyEdge:
+        """The candidate edge a loop through ``hop`` is checked with."""
+        picked = self._picks.get(hop)
+        if picked is None:
+            pool = self.pools[hop]
+            preferred = [e for e in pool if e.mode == self.prefer_mode]
+            picked = self._picks[hop] = min(preferred or pool, key=_pick_key)
+        return picked
+
+
+class HopIndex:
+    """A component's edges grouped by hop: the one adjacency graph rules read.
+
+    ``hops`` maps each (source, destination) layer pair to its edges in
+    ``component.edges`` order.  :meth:`view` builds a mode policy's
+    :class:`ModeView` once, so the graph stats and HC201 share the
+    all-modes walk and HC202 walks the idle graph once.
+    :func:`analyze_component` builds one index per component and drops it
+    with the component's analysis.
+    """
+
+    def __init__(self, component: ComponentGraph) -> None:
+        self.component = component
+        self.hops: dict[Hop, list[PolicyEdge]] = {}
+        for edge in component.edges:
+            self.hops.setdefault((edge.src, edge.dst), []).append(edge)
+        self._views: dict[ModePolicy, ModeView] = {}
+
+    def view(self, policy: ModePolicy) -> ModeView:
+        """The component's graph under ``policy`` (built on first use)."""
+        view = self._views.get(policy)
+        if view is None:
+            view = self._views[policy] = ModeView(self.hops, policy)
+        return view
+
+
 @dataclass(frozen=True)
 class CycleFeasibility:
     """Verdict of the interval/margin check on one hop assignment."""
@@ -665,40 +756,19 @@ class CycleFeasibility:
     common_window: Interval
 
 
-def _pick_candidate(candidates: list[PolicyEdge]) -> PolicyEdge:
-    """Most permissive hop candidate, with deterministic tie-breaks."""
-    return min(candidates, key=lambda e: (
-        e.margin_db,
-        -(e.serving_interval.width + e.target_interval.width),
-        e.kind, e.mode, e.via_gci,
-    ))
+def check_cycle(cycle: tuple[LayerRef, ...], view: ModeView) -> CycleFeasibility:
+    """Interval-compatibility check of one cycle of ``view``'s walk.
 
-
-def check_cycle(
-    cycle: tuple[LayerRef, ...],
-    candidates: dict[tuple[LayerRef, LayerRef], list[PolicyEdge]],
-    modes: tuple[str, ...],
-    prefer_mode: str | None = None,
-) -> CycleFeasibility | None:
-    """Interval-compatibility check of one cycle under a mode policy.
-
-    Picks one candidate edge per hop (restricted to ``modes``, preferring
-    ``prefer_mode`` when offered), then requires every node's RSRP
-    window — incoming hop's target constraint intersected with outgoing
-    hop's serving constraint — to be non-empty, and the summed relative
-    margin of rank-based hops to fit the shadow-fading band
-    (``<= 0``: the loop needs no fading at all and is *guaranteed*).
-
-    Returns None when some hop has no candidate in the allowed modes.
+    Takes each hop's greedy pick (:meth:`ModeView.pick`), then requires
+    every node's RSRP window — incoming hop's target constraint
+    intersected with outgoing hop's serving constraint — to be
+    non-empty, and the summed relative margin of rank-based hops to fit
+    the shadow-fading band (``<= 0``: the loop needs no fading at all
+    and is *guaranteed*).
     """
-    hops: list[PolicyEdge] = []
-    for i, src in enumerate(cycle):
-        dst = cycle[(i + 1) % len(cycle)]
-        pool = [e for e in candidates.get((src, dst), ()) if e.mode in modes]
-        if not pool:
-            return None
-        preferred = [e for e in pool if e.mode == prefer_mode]
-        hops.append(_pick_candidate(preferred or pool))
+    hops = [
+        view.pick((src, cycle[(i + 1) % len(cycle)])) for i, src in enumerate(cycle)
+    ]
     windows: list[Interval] = []
     for i in range(len(cycle)):
         incoming = hops[i - 1]
@@ -749,18 +819,19 @@ def _cycle_subject(cycle: tuple[LayerRef, ...]) -> str:
 
 # ---------------------------------------------------------------------------
 # Graph-scope rules (registered for metadata/reporting; executed per
-# component by analyze_component, not by the snapshot pass)
+# component over its HopIndex by analyze_component, not by the snapshot
+# pass)
 
 
 @rule("HC201", "k-cell-loop-active", scope="graph", severity="problem",
       summary="Persistent k-cell handoff loop feasible in connected mode")
-def loop_active(component: ComponentGraph) -> Iterator[Issue]:
-    for cycle, verdict in _feasible_cycles(component, ("idle", "active"), "active"):
+def loop_active(index: HopIndex) -> Iterator[Issue]:
+    for cycle, verdict in _feasible_cycles(index.view(ALL_MODES)):
         if not any(h.mode == "active" for h in verdict.hops):
             continue
         yield Issue(
             _cycle_message(cycle, verdict, "active-mode"),
-            carrier=component.carrier,
+            carrier=index.component.carrier,
             gci=verdict.hops[0].via_gci,
             channel=cycle[0].channel,
             subject=_cycle_subject(cycle),
@@ -769,11 +840,11 @@ def loop_active(component: ComponentGraph) -> Iterator[Issue]:
 
 @rule("HC202", "k-cell-loop-idle", scope="graph", severity="problem",
       summary="Persistent k-cell reselection loop feasible in idle mode")
-def loop_idle(component: ComponentGraph) -> Iterator[Issue]:
-    for cycle, verdict in _feasible_cycles(component, ("idle",), None):
+def loop_idle(index: HopIndex) -> Iterator[Issue]:
+    for cycle, verdict in _feasible_cycles(index.view(IDLE_ONLY)):
         yield Issue(
             _cycle_message(cycle, verdict, "idle-mode"),
-            carrier=component.carrier,
+            carrier=index.component.carrier,
             gci=verdict.hops[0].via_gci,
             channel=cycle[0].channel,
             subject=_cycle_subject(cycle),
@@ -782,7 +853,8 @@ def loop_idle(component: ComponentGraph) -> Iterator[Issue]:
 
 @rule("HC203", "dead-target-layer", scope="graph", severity="warning",
       summary="Configured neighbor layer undeployed or threshold unsatisfiable")
-def dead_target(component: ComponentGraph) -> Iterator[Issue]:
+def dead_target(index: HopIndex) -> Iterator[Issue]:
+    component = index.component
     deployed = set(component.layers)
     for policy in component.policies:
         for rule_ in policy.rules:
@@ -811,12 +883,12 @@ def dead_target(component: ComponentGraph) -> Iterator[Issue]:
 
 @rule("HC204", "cross-rat-priority-inversion", scope="graph", severity="warning",
       summary="Strictly-higher-priority preference cycle spanning RATs")
-def priority_inversion(component: ComponentGraph) -> Iterator[Issue]:
-    adjacency: dict[LayerRef, set[LayerRef]] = defaultdict(set)
-    for edge in component.edges:
-        if edge.mode == "idle" and edge.priority_delta > 0:
-            adjacency[edge.src].add(edge.dst)
-    for scc in _strongly_connected(dict(adjacency)):
+def priority_inversion(index: HopIndex) -> Iterator[Issue]:
+    adjacency: dict[LayerRef, set[LayerRef]] = {}
+    for (src, dst), edges in index.hops.items():
+        if any(e.mode == "idle" and e.priority_delta > 0 for e in edges):
+            adjacency.setdefault(src, set()).add(dst)
+    for scc in _strongly_connected(adjacency):
         if len(scc) < 2 or len({ly.rat for ly in scc}) < 2:
             continue
         route = " -> ".join(str(ly) for ly in scc)
@@ -824,30 +896,18 @@ def priority_inversion(component: ComponentGraph) -> Iterator[Issue]:
             f"cross-RAT priority inversion: layers {route} each defer to "
             "the next with strictly higher reselection priority — the "
             "preference order cannot be satisfied",
-            carrier=component.carrier,
+            carrier=index.component.carrier,
             channel=scc[0].channel,
             subject=_cycle_subject(tuple(scc)),
         )
 
 
-def _feasible_cycles(
-    component: ComponentGraph,
-    modes: tuple[str, ...],
-    prefer_mode: str | None,
-) -> list[tuple[tuple[LayerRef, ...], CycleFeasibility]]:
-    """Feasible cycles of a component under a mode policy."""
-    adjacency: dict[LayerRef, set[LayerRef]] = defaultdict(set)
-    candidates: dict[tuple[LayerRef, LayerRef], list[PolicyEdge]] = defaultdict(list)
-    for edge in component.edges:
-        if edge.mode not in modes:
-            continue
-        adjacency[edge.src].add(edge.dst)
-        candidates[(edge.src, edge.dst)].append(edge)
-    cycles, _ = _enumerate_cycles(dict(adjacency), MAX_CYCLES_PER_COMPONENT)
+def _feasible_cycles(view: ModeView) -> list[tuple[tuple[LayerRef, ...], CycleFeasibility]]:
+    """Feasible cycles of a component's walk under one mode policy."""
     results = []
-    for cycle in cycles:
-        verdict = check_cycle(cycle, candidates, modes, prefer_mode)
-        if verdict is not None and verdict.feasible:
+    for cycle in view.cycles:
+        verdict = check_cycle(cycle, view)
+        if verdict.feasible:
             results.append((cycle, verdict))
     return results
 
@@ -867,20 +927,22 @@ def graph_rules(codes: Sequence[str] | None = None) -> tuple[RegisteredRule, ...
 def analyze_component(
     component: ComponentGraph, codes: tuple[str, ...]
 ) -> ComponentResult:
-    """Run the graph-scope rules over one component (picklable entry)."""
-    adjacency: dict[LayerRef, set[LayerRef]] = defaultdict(set)
-    for edge in component.edges:
-        adjacency[edge.src].add(edge.dst)
-    cycles, truncated = _enumerate_cycles(dict(adjacency), MAX_CYCLES_PER_COMPONENT)
+    """Run the graph-scope rules over one component (picklable entry).
+
+    The rules read one :class:`HopIndex`; the stats count the all-modes
+    walk HC201 checks.
+    """
+    index = HopIndex(component)
+    walk = index.view(ALL_MODES)
     findings: list[Finding] = []
     for registered in graph_rules(codes):
-        for issue in registered.func(component):
+        for issue in registered.func(index):
             findings.append(registered.stamp(issue))
     return ComponentResult(
         findings=tuple(sort_findings(findings)),
         n_edges=len(component.edges),
-        cycles_checked=len(cycles),
-        cycles_truncated=truncated,
+        cycles_checked=len(walk.cycles),
+        cycles_truncated=walk.truncated,
     )
 
 

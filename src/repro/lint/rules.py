@@ -150,8 +150,9 @@ def rule(
         name: Human-readable kebab-case slug.
         scope: "cell" (function takes one snapshot), "network"
             (function takes the full snapshot list), "graph" (function
-            takes one policy-graph component), "drift" (function takes
-            a :class:`~repro.lint.diff.DriftContext`) or "coverage"
+            takes one component's :class:`~repro.lint.graph.HopIndex`),
+            "drift" (function takes a
+            :class:`~repro.lint.diff.DriftContext`) or "coverage"
             (function takes one snapshot, its fire regions and its
             critical-band gaps, and yields issues that carry their
             witness; executed per cell by the

@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields, is_dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -198,13 +199,22 @@ class ConfigSnapshot:
             captured_day=captured_day,
         )
 
+    @cached_property
+    def digests(self) -> tuple[str, ...]:
+        """Each member cell's :func:`snapshot_digest`, in cell order.
+
+        Hashed once per capture: a drift audit hands these to the graph
+        pass and to the cell differ.
+        """
+        return tuple(snapshot_digest(c) for c in self.cells)
+
     def cell_digests(self) -> dict[tuple[str, int], str]:
         """Per-cell content digests, keyed by (carrier, gci).
 
         The same digests the graph verifier's component cache is keyed
         on — the differ's fast path for unchanged cells.
         """
-        return {(c.carrier, c.gci): snapshot_digest(c) for c in self.cells}
+        return {(c.carrier, c.gci): d for c, d in zip(self.cells, self.digests)}
 
     @property
     def fleet_digest(self) -> str:

@@ -74,6 +74,48 @@ def test_registry_deterministic_order():
     assert [c.cell_id.gci for c in registry.all_cells()] == [1, 2]
 
 
+def _fresh_sort(registry, keep):
+    return sorted((c for c in registry if keep(c)), key=lambda c: c.cell_id)
+
+
+def _assert_views_equal_a_fresh_sort(registry):
+    assert registry.all_cells() == _fresh_sort(registry, lambda c: True)
+    for carrier in ("A", "T", "Z"):
+        assert registry.by_carrier(carrier) == _fresh_sort(
+            registry, lambda c: c.carrier == carrier
+        )
+    for city in ("X", "Y"):
+        assert registry.by_city(city) == _fresh_sort(registry, lambda c: c.city == city)
+    for rat in RAT:
+        assert registry.by_rat(rat) == _fresh_sort(registry, lambda c: c.rat is rat)
+    for cell in registry:
+        assert registry.neighbors_of(cell, 150.0) == _fresh_sort(
+            registry,
+            lambda c: c.carrier == cell.carrier and c.cell_id != cell.cell_id
+            and c.location.distance_to(cell.location) <= 150.0,
+        )
+
+
+def test_registry_views_track_adds_after_reads():
+    registry = CellRegistry()
+    cells = [
+        _cell(gci=gci, carrier=carrier, city=city, x=40.0 * gci, rat=rat,
+              channel=4385 if rat is RAT.UMTS else 850)
+        for gci, carrier, city, rat in [
+            (5, "T", "X", RAT.LTE), (3, "A", "Y", RAT.UMTS), (9, "A", "X", RAT.LTE),
+            (1, "T", "Y", RAT.LTE), (4, "A", "X", RAT.LTE), (2, "A", "Y", RAT.UMTS),
+        ]
+    ]
+    for cell in cells:
+        registry.add(cell)
+        _assert_views_equal_a_fresh_sort(registry)
+    # A caller may mutate what it was handed without touching the registry.
+    registry.all_cells().clear()
+    registry.by_carrier("A").clear()
+    _assert_views_equal_a_fresh_sort(registry)
+    assert len(registry.all_cells()) == len(cells)
+
+
 def test_neighbors_of_same_carrier_only():
     registry = CellRegistry()
     center = _cell(gci=1, carrier="A", x=0.0)

@@ -118,6 +118,43 @@ def test_diff_lint_reports_blamed_hc301_for_loop_regression(regression):
     assert set(report.blame.values()) <= blamed_ids
 
 
+def test_diff_lint_hashes_each_cell_of_each_capture_once(monkeypatch):
+    from repro.lint import coverage, diff, engine, graph, snapshot
+
+    calls = []
+    original = graph.snapshot_digest
+
+    def counting(cell):
+        calls.append(cell)
+        return original(cell)
+
+    for module in (graph, engine, diff, snapshot, coverage):
+        monkeypatch.setattr(module, "snapshot_digest", counting)
+    old, new = _timeline("loop-regression").snapshots[:2]
+    assert len(old.cells) == len(new.cells) == 3
+    report = diff_lint(old, new)
+    assert report.changes and any(f.code == "HC301" for f in report.findings)
+    assert len(calls) == 6  # the graph pass and the cell differ share them
+
+
+@pytest.mark.parametrize("scenario", ["loop-regression", "retune", "patch-rollout"])
+def test_differ_equals_diffing_every_common_pair(scenario):
+    # The differ skips pairs whose capture digests agree; diff_cell on
+    # every common pair, as the differ once ran it, gives the same list.
+    old, new = _timeline(scenario).snapshots[:2]
+    old_cells = {(c.carrier, c.gci): c for c in old.cells}
+    new_cells = {(c.carrier, c.gci): c for c in new.cells}
+    expected = [
+        change
+        for key in sorted(set(old_cells) & set(new_cells))
+        for change in diff_cell(old_cells[key], new_cells[key])
+    ]
+    changes = diff_config_snapshots(old, new)
+    common = [c for c in changes if c.kind not in ("cell-added", "cell-retired")]
+    assert common == sorted(expected, key=lambda c: (c.carrier, c.gci, c.kind, c.parameter))
+    assert common
+
+
 def test_diff_lint_gate_excludes_preexisting_findings(regression):
     _, new = regression
     report = diff_lint(new, new)
